@@ -70,9 +70,9 @@ BENCHMARK(BM_Lower);
 /**
  * The lowered-IR optimization pass (wasm/opt.*), in the two configurations
  * the engine uses: superinstruction fusion (interpreter tiers) and bounds-
- * check analysis + loop hoisting (jit-opt under the trap strategy). Counters
- * report what the pass found in the kernel, so per-kernel fusion/hoisting
- * coverage is visible alongside the stage's throughput.
+ * check analysis (jit-opt under the trap strategy). Counters report what
+ * the pass found in the kernel, so per-kernel fusion/elision coverage is
+ * visible alongside the stage's throughput.
  */
 void
 BM_OptPass(benchmark::State& state)
@@ -82,7 +82,6 @@ BM_OptPass(benchmark::State& state)
     wasm::OptOptions options;
     options.fuse = state.range(0) == 0;
     options.analyzeChecks = !options.fuse;
-    options.hoistChecks = !options.fuse;
     wasm::OptStats stats;
     for (auto _ : state) {
         wasm::LoweredModule copy = lowered;
@@ -91,7 +90,6 @@ BM_OptPass(benchmark::State& state)
     }
     state.SetLabel(options.fuse ? "fuse" : "check-analysis");
     state.counters["insts_fused"] = double(stats.instsFused);
-    state.counters["checks_hoisted"] = double(stats.checksHoisted);
     state.counters["checks_elided"] = double(stats.checksElided);
 }
 BENCHMARK(BM_OptPass)->Arg(0)->Arg(1);

@@ -107,10 +107,6 @@ runSwitch(InstanceContext* ctx, const LoweredFunc& func, Value* frame)
           case LOp::trap:
             mem::TrapManager::raiseTrap(TrapKind(inst.aux));
 
-          case LOp::check_bounds:
-            sem::semCheckBounds<M>(ctx, frame, inst);
-            break;
-
           case LOp::fused_const_binop:
             sem::semFusedConstBinop<M>(ctx, frame, inst);
             break;

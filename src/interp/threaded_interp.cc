@@ -36,7 +36,7 @@ runThreaded(InstanceContext* ctx, const LoweredFunc& func, Value* frame)
 #undef V
         &&L_jump,      &&L_jump_if, &&L_jump_if_zero, &&L_jump_table,
         &&L_copy,      &&L_ret,     &&L_callf,        &&L_call_host,
-        &&L_calli,     &&L_trap,    &&L_check_bounds,
+        &&L_calli,     &&L_trap,
         &&L_fused_const_binop,      &&L_fused_cmp_jump,
         &&L_fused_copy_binop,       &&L_fused_load_binop,
         &&L_count_fallback,
@@ -127,10 +127,6 @@ L_calli: {
 
 L_trap:
     mem::TrapManager::raiseTrap(TrapKind(inst->aux));
-
-L_check_bounds:
-    sem::semCheckBounds<M>(ctx, frame, *inst);
-    NEXT();
 
     // The fused handlers run the first half of the pair inline, then jump
     // straight to the binop's own handler: a fused instruction carries the

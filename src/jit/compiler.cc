@@ -497,29 +497,20 @@ class FunctionCompiler
 
     // ----- bounds-check cache (opt tier) -----
     void invalidate(uint32_t cell) { checkedLimit_.erase(cell); }
-    void
-    invalidateAllChecks()
-    {
-        checkedLimit_.clear();
-        checkedConstLimit_ = 0;
-    }
+    /** A call, memory.grow or synchronizing op may clobber any cell of
+     * the frame (or memSize, seen from another thread): forget every
+     * cached check. */
+    void invalidateAllChecks() { checkedLimit_.clear(); }
 
-    /** The check caches are live (trap strategy, optimizing tier). */
+    /** The check cache is live (trap strategy, optimizing tier). */
     bool
     checkCacheActive() const
     {
         return opts_.optimize && opts_.strategy == BoundsStrategy::trap;
     }
 
-    /** Interprocedural summaries were computed for this module. */
-    bool
-    haveSummaries() const
-    {
-        return checkCacheActive() && !mod_.funcSummaries.empty();
-    }
-
-    /** Re-seed the caches with facts the opt pass proved to hold on
-     * every path into @p pc (block entries and the function entry). */
+    /** Re-seed the cache with facts the opt pass proved to hold on
+     * every path into the block starting at @p pc. */
     void
     seedFactsAt(uint32_t pc)
     {
@@ -530,60 +521,8 @@ class FunctionCompiler
             return;
         for (uint32_t i = it->second.first; i < it->second.second; i++) {
             const auto& fact = func_.entryCheckFacts[i];
-            if (fact.cell == wasm::kCheckFactConstCell)
-                checkedConstLimit_ =
-                    std::max(checkedConstLimit_, fact.limit);
-            else
-                checkedLimit_[fact.cell] = fact.limit;
+            checkedLimit_[fact.cell] = fact.limit;
         }
-    }
-
-    /** Forget cell facts at and above @p arg_base (what a wasm callee
-     * can clobber: frames overlap, the callee's frame starts there). */
-    void
-    eraseCheckedFrom(uint32_t arg_base)
-    {
-        for (auto it = checkedLimit_.begin();
-             it != checkedLimit_.end();) {
-            if (it->first >= arg_base)
-                it = checkedLimit_.erase(it);
-            else
-                ++it;
-        }
-    }
-
-    /**
-     * Update the caches after a direct call to module-wide function
-     * index @p callee_idx with the argument frame at @p arg_base. With
-     * summaries, a grow-free callee invalidates only cells it can write;
-     * any wasm callee leaves the constant fact alive (memSize is
-     * monotone) and contributes its own entry-checked constant limit.
-     */
-    void
-    noteDirectCall(uint32_t callee_idx, uint32_t arg_base)
-    {
-        if (!haveSummaries()) {
-            invalidateAllChecks();
-            return;
-        }
-        const wasm::FuncSummary& s =
-            mod_.funcSummaries[callee_idx -
-                               mod_.module.numImportedFuncs()];
-        eraseCheckedFrom(s.growFree ? arg_base : 0);
-        checkedConstLimit_ =
-            std::max(checkedConstLimit_, s.maxConstCheckLimit);
-    }
-
-    /** Caches after call_indirect or memory.grow: no callee identity,
-     * but memSize monotonicity keeps the constant fact alive. */
-    void
-    noteOpaqueMemClobber()
-    {
-        if (!haveSummaries()) {
-            invalidateAllChecks();
-            return;
-        }
-        eraseCheckedFrom(0);
     }
 
     /** Propagate the source cell's checked limit through a copy (the
@@ -758,10 +697,6 @@ class FunctionCompiler
     Label interruptLabel_;
     /** addr cell -> highest offset+size already checked (trap mode). */
     std::unordered_map<uint32_t, uint64_t> checkedLimit_;
-    /** Constant limit known to satisfy memSize >= limit here (from a
-     * check_bounds aux == 1, a callee summary, or the initial-memory
-     * entry fact). Survives calls and grows: memSize is monotone. */
-    uint64_t checkedConstLimit_ = 0;
     /** pc currently being emitted (for elision-hint lookups). */
     uint32_t curPc_ = 0;
     /** Accesses the opt pass proved covered by an earlier check. */
@@ -868,22 +803,19 @@ FunctionCompiler::compile()
         pcLabels_[pc] = as_.newLabel();
 
     emitPrologue();
-    // Facts that hold at any entry into the function (the IPO pass's
-    // initial-memory-size constant fact) seed the caches at pc 0.
-    seedFactsAt(0);
 
     for (uint32_t pc = 0; pc < func_.code.size(); pc++) {
         if (jumpTargets_.count(pc)) {
             as_.bind(pcLabels_[pc]);
             invalidateAllChecks();
-            // Re-seed the caches with facts the opt pass proved to hold
+            // Re-seed the cache with facts the opt pass proved to hold
             // on every path into this label, so elision keeps working
             // across block boundaries and around loop back edges.
             seedFactsAt(pc);
             // Loop headers poll the interrupt flag: every back edge runs
             // through here, so a spinning loop is preempted within one
             // iteration. The poll has no memory-state effect, so the
-            // check caches seeded above stay valid.
+            // check cache seeded above stays valid.
             if (opts_.epochChecks && backEdgeTargets_.count(pc))
                 emitEpochPoll();
         }
@@ -987,50 +919,6 @@ FunctionCompiler::emitInstr(const LInst& inst)
         as_.jmp(trapLabel(TrapKind(inst.aux)));
         return;
 
-      case LOp::check_bounds: {
-        // Hoisted check emitted by the opt pass (trap strategy only; for
-        // other strategies it is dead weight the pass never inserts).
-        if (opts_.strategy != BoundsStrategy::trap)
-            return;
-        // A covered check cannot trap (an equal-or-stronger compare
-        // already passed on every path here), so it can be skipped.
-        if (checkCacheActive()) {
-            if (inst.aux == 0) {
-                auto it = checkedLimit_.find(inst.a);
-                if (it != checkedLimit_.end() && it->second >= inst.imm) {
-                    jitMetrics().boundsChecksElided.add();
-                    return;
-                }
-            } else if (checkedConstLimit_ >= inst.imm) {
-                jitMetrics().boundsChecksElided.add();
-                return;
-            }
-        }
-        jitMetrics().boundsChecksEmitted.add();
-        emitCountRetired();
-        uint32_t check_begin = uint32_t(as_.size());
-        if (inst.aux == 0) {
-            loadGpr32(rax, inst.a);
-            as_.movRI64(rcx, inst.imm);
-            as_.addRR64(rax, rcx);
-            as_.cmpRM64(rax, CTX_FIELD(memSize));
-            as_.jcc(Cond::a, trapLabel(TrapKind::out_of_bounds_memory));
-            if (opts_.optimize) {
-                uint64_t& cached = checkedLimit_[inst.a];
-                cached = std::max(cached, inst.imm);
-            }
-        } else {
-            as_.movRI64(rax, inst.imm);
-            as_.cmpRM64(rax, CTX_FIELD(memSize));
-            as_.jcc(Cond::a, trapLabel(TrapKind::out_of_bounds_memory));
-            if (opts_.optimize)
-                checkedConstLimit_ =
-                    std::max(checkedConstLimit_, inst.imm);
-        }
-        recordCheckRange(check_begin);
-        return;
-      }
-
       case LOp::count_fallback:
         // Versioned-loop guard failure: bump the fallback counter. A
         // plain mov/lea/mov so no live register or flag is disturbed.
@@ -1121,7 +1009,7 @@ FunctionCompiler::emitCall(const LInst& inst)
     reloadFloatMask(inst.aux);
     if (!callee.results.empty())
         fillCell(inst.b, classOf(callee.results[0]));
-    noteDirectCall(inst.a, inst.b);
+    invalidateAllChecks();
 }
 
 void
@@ -1197,7 +1085,7 @@ FunctionCompiler::emitCallIndirect(const LInst& inst)
     reloadFloatMask(inst.aux);
     if (!callee.results.empty())
         fillCell(arg_base, classOf(callee.results[0]));
-    noteOpaqueMemClobber();
+    invalidateAllChecks();
 }
 
 void
@@ -1435,7 +1323,7 @@ FunctionCompiler::emitAtomic(const LInst& inst)
     reloadFloatMask(inst.aux);
     if (aop != exec::AtomicOp::store)
         storeGpr64(inst.a, rax); // glue returns zero-extended results
-    noteOpaqueMemClobber();
+    invalidateAllChecks();
 }
 
 void
@@ -2083,7 +1971,7 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
                 RelocKind::glue, kGlueMemSize);
             reloadFloatMask(inst.aux);
             storeGpr32(inst.a, rax);
-            noteOpaqueMemClobber();
+            invalidateAllChecks();
             return;
         }
         as_.movRM64(rax, CTX_FIELD(memSize));
@@ -2099,7 +1987,7 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
             RelocKind::glue, kGlueMemGrow);
         reloadFloatMask(inst.aux);
         storeGpr32(inst.a, rax);
-        noteOpaqueMemClobber();
+        invalidateAllChecks();
         return;
       case Op::memory_copy:
         spillFloatMask(inst.aux);

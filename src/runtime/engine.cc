@@ -1,7 +1,5 @@
 #include "runtime/engine.h"
 
-#include <cstdlib>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/clock.h"
@@ -36,18 +34,6 @@ engineKindFromName(const std::string& name, EngineKind& out)
 }
 
 namespace {
-
-/** LNB_OPT_DISABLED (any non-empty value) force-disables the lowered-IR
- * optimization pass, mirroring LNB_OBS_DISABLED's ablation style. */
-bool
-optDisabledByEnv()
-{
-    static const bool disabled = [] {
-        const char* v = std::getenv("LNB_OPT_DISABLED");
-        return v != nullptr && v[0] != '\0';
-    }();
-    return disabled;
-}
 
 /**
  * True if the start function (when present) cannot perform host calls:
@@ -103,15 +89,14 @@ resolveEngineConfig(EngineConfig config)
         envInt("LNB_TIER_THRESHOLD", config.tierThreshold, 1, 1u << 30));
     config.tierCompileThreads = uint32_t(envInt(
         "LNB_TIER_COMPILE_THREADS", config.tierCompileThreads, 1, 256));
+    // Flag convention: any value but "" or "0" turns the pass off.
+    if (envFlag("LNB_OPT_DISABLED"))
+        config.optimizeLoweredIR = false;
     // Tri-state opt kill-switches: unset keeps the config value, 0/1
     // forces; anything else warns (strict parsing) and keeps the config.
     config.optVersioning =
         envInt("LNB_OPT_VERSIONING", config.optVersioning ? 1 : 0, 0, 1) !=
         0;
-    config.optIpoSummaries =
-        envInt("LNB_OPT_IPO", config.optIpoSummaries ? 1 : 0, 0, 1) != 0;
-    config.optIpoStats =
-        envInt("LNB_OPT_IPO_STATS", config.optIpoStats ? 1 : 0, 0, 1) != 0;
     config.countRetiredChecks =
         envInt("LNB_COUNT_CHECKS", config.countRetiredChecks ? 1 : 0, 0,
                1) != 0;
@@ -190,26 +175,23 @@ Engine::compile(wasm::Module module) const
         }
     }
 
-    if (config.optimizeLoweredIR && !optDisabledByEnv()) {
+    if (config.optimizeLoweredIR) {
         // Strategy-aware transform selection: interpreters get
         // superinstruction fusion; the optimizing JIT under the trap
-        // strategy gets check analysis + hoisting (guard-page and clamp
+        // strategy gets check analysis + versioning (guard-page and clamp
         // codegen has nothing to elide — clamp must still redirect).
         // Tiered modules share one IR between both tiers, so they skip
         // fusion (the JIT has no fused-op patterns) but keep the check
         // analysis their jit_opt top tier consumes; the interpreter
-        // executes hoisted check_bounds soundly.
+        // runs the versioned loops' guards and clones like any code.
         wasm::OptOptions opt;
         opt.fuse = !tiered && !engineIsJit(config.kind);
         bool top_is_opt_jit =
             tiered || config.kind == EngineKind::jit_opt;
         opt.analyzeChecks = top_is_opt_jit &&
                             config.strategy == mem::BoundsStrategy::trap;
-        opt.hoistChecks = opt.analyzeChecks;
         opt.versionLoops =
             opt.analyzeChecks && config.optVersioning && grow_free;
-        opt.ipoSummaries = opt.analyzeChecks && config.optIpoSummaries;
-        opt.ipoStats = opt.ipoSummaries && config.optIpoStats;
         if (opt.fuse || opt.analyzeChecks) {
             LNB_TRACE_SCOPE("rt.opt");
             ScopedTimer timer(cm->stats_.optSeconds);
@@ -318,8 +300,6 @@ writeConfig(const EngineConfig& c, wasm::ByteWriter& w)
     w.u32(c.maxCallDepth);
     w.boolean(c.optimizeLoweredIR);
     w.boolean(c.optVersioning);
-    w.boolean(c.optIpoSummaries);
-    w.boolean(c.optIpoStats);
     w.boolean(c.countRetiredChecks);
     w.boolean(c.tiered);
     w.u32(c.tierThreshold);
@@ -341,8 +321,6 @@ readConfig(wasm::ByteReader& r)
     c.maxCallDepth = r.u32();
     c.optimizeLoweredIR = r.boolean();
     c.optVersioning = r.boolean();
-    c.optIpoSummaries = r.boolean();
-    c.optIpoStats = r.boolean();
     c.countRetiredChecks = r.boolean();
     c.tiered = r.boolean();
     c.tierThreshold = r.u32();

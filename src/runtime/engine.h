@@ -68,8 +68,7 @@ struct EngineConfig
      * Run the lowered-IR optimization pass (wasm/opt.*) between lowering
      * and execution: superinstruction fusion for the interpreter tiers,
      * cross-block/loop bounds-check elimination for jit_opt under the
-     * trap strategy. Ablation knob; the LNB_OPT_DISABLED environment
-     * variable force-disables it regardless of this flag.
+     * trap strategy. Ablation knob; LNB_OPT_DISABLED=1 turns it off.
      */
     bool optimizeLoweredIR = true;
     /**
@@ -81,20 +80,6 @@ struct EngineConfig
      * overrides.
      */
     bool optVersioning = true;
-    /**
-     * Interprocedural check summaries (wasm/opt.*): bottom-up grow-free
-     * and entry-checked-limit facts let bounds-check elision survive
-     * calls. Same gating as optVersioning; LNB_OPT_IPO=0/1 overrides.
-     */
-    bool optIpoSummaries = true;
-    /**
-     * Attribute the IPO contribution to check elision
-     * (opt.checks_elided_ipo) by re-running the check analysis with the
-     * old clear-at-call semantics as a baseline. Diagnostics-only knob —
-     * emitted code is identical — that roughly doubles check-analysis
-     * compile time, so it defaults off. LNB_OPT_IPO_STATS=0/1 overrides.
-     */
-    bool optIpoStats = false;
     /**
      * Count dynamically retired software bounds checks in JIT code
      * (InstanceContext::checksRetired; the interpreters always count).

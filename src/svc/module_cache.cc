@@ -64,7 +64,7 @@ struct CacheFileHeader
 static_assert(sizeof(CacheFileHeader) == 48);
 
 constexpr uint32_t kCacheMagic = 0x43424e4c; // "LNBC"
-constexpr uint32_t kCacheFormatVersion = 1;
+constexpr uint32_t kCacheFormatVersion = 2;
 
 uint64_t
 cacheBuildId()
@@ -149,7 +149,6 @@ engineConfigFingerprint(const rt::EngineConfig& config)
                       // clones, elision patterns, counting instructions):
                       // artifacts must not be shared across settings.
                       (uint64_t(config.optVersioning) << 21) |
-                      (uint64_t(config.optIpoSummaries) << 22) |
                       (uint64_t(config.countRetiredChecks) << 23) |
                       // Shared memory changes codegen (synchronizing
                       // memory.size, versioning gate) and instance

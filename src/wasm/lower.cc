@@ -663,7 +663,6 @@ lopName(uint16_t op)
       case LOp::call_host: return "call.host";
       case LOp::calli: return "call.i";
       case LOp::trap: return "trap";
-      case LOp::check_bounds: return "check.bounds";
       case LOp::fused_const_binop: return "fused.const.binop";
       case LOp::fused_cmp_jump: return "fused.cmp.jump";
       case LOp::fused_copy_binop: return "fused.copy.binop";

@@ -42,13 +42,6 @@ enum class LOp : uint16_t {
     calli,      ///< a = type index, b = table-index cell
     trap,       ///< aux = TrapKind
     // ----- emitted only by the optimization pass (wasm/opt.*) -----
-    /**
-     * Hoisted bounds check (trap strategy only). aux == 0: trap if
-     * f[a].i32 + imm > memSize. aux == 1: trap if imm > memSize (the
-     * whole limit folded to a constant). Raw/clamp executors treat it
-     * as a no-op; the pass only inserts it for the trap strategy.
-     */
-    check_bounds,
     /** f[b] = imm, then 2-input wasm op `aux` on (a, b). */
     fused_const_binop,
     /**
@@ -135,46 +128,9 @@ struct LoweredFunc
      * pcs of memory accesses whose bounds check the pass proved
      * redundant (trap strategy only): an earlier check in the same block
      * covers the same address value with an equal-or-larger limit, or a
-     * hoisted check_bounds covers it. Sorted ascending.
+     * versioned loop's preheader guard covers it. Sorted ascending.
      */
     std::vector<uint32_t> elidableCheckPcs;
-};
-
-/**
- * Cell index used in EntryCheckFact to publish a *constant* check fact:
- * "memSize >= limit has been established" with no address cell involved
- * (from a check_bounds aux == 1 or a callee summary). Never a real cell
- * index: frames are far smaller than 2^32 cells.
- */
-constexpr uint32_t kCheckFactConstCell = 0xFFFFFFFFu;
-
-/**
- * Interprocedural summary of one defined function, computed bottom-up and
- * SCC-aware by the optimization pass (trap strategy only; the vector stays
- * empty when the pass or the IPO knob is off).
- */
-struct FuncSummary
-{
-    /**
-     * The function cannot change memSize: no memory.grow, no call_indirect
-     * and no host calls (either could reach a grower), and every direct
-     * callee is itself grow-free. Members of non-trivial call-graph SCCs
-     * (including self-recursion) are conservatively not grow-free.
-     *
-     * Because caller and callee frames overlap (callee frame = caller
-     * frame + arg base), a call can only clobber caller cells >= the arg
-     * base — so a call into a grow-free callee invalidates neither
-     * memSize-dependent facts nor facts about cells below the arg base.
-     */
-    bool growFree = false;
-    /**
-     * Largest constant limit the function is guaranteed to have checked
-     * against memSize before it can return normally (max over entry-block
-     * constant-address accesses and check_bounds aux == 1). After a
-     * completed call, the caller knows memSize >= this. Sound forever:
-     * memories never shrink. 0 = nothing proven.
-     */
-    uint64_t maxConstCheckLimit = 0;
 };
 
 /** A module plus the lowered form of each defined function. */
@@ -182,11 +138,6 @@ struct LoweredModule
 {
     Module module;
     std::vector<LoweredFunc> funcs;
-    /**
-     * Per-defined-function interprocedural summaries, parallel to `funcs`.
-     * Empty unless the optimization pass ran with ipoSummaries enabled.
-     */
-    std::vector<FuncSummary> funcSummaries;
     /**
      * Canonical type index per type index: the first structurally equal
      * entry. call_indirect signature checks compare canonical indices so

@@ -1,7 +1,7 @@
 /**
  * @file
  * Lowered-IR optimization pass: CFG/dominator/loop discovery, redundant
- * bounds-check analysis, loop-invariant check hoisting, and interpreter
+ * bounds-check analysis, affine loop versioning, and interpreter
  * superinstruction fusion. See opt.h for the soundness arguments.
  */
 #include "wasm/opt.h"
@@ -22,22 +22,18 @@ namespace {
 
 struct OptCounters
 {
-    obs::Counter hoisted;
     obs::Counter elided;
     obs::Counter fused;
     obs::Counter versioned;
-    obs::Counter elidedIpo;
 };
 
 OptCounters&
 optCounters()
 {
     static OptCounters counters{
-        obs::registerCounter("opt.checks_hoisted"),
         obs::registerCounter("opt.checks_elided_crossblock"),
         obs::registerCounter("opt.insts_fused"),
         obs::registerCounter("opt.loops_versioned"),
-        obs::registerCounter("opt.checks_elided_ipo"),
     };
     return counters;
 }
@@ -62,15 +58,6 @@ hasOutput(Op op)
     if (sig[0] == '*')
         return false;
     return std::strchr(sig, ':')[1] != '\0';
-}
-
-bool
-isCallLop(const LInst& inst)
-{
-    if (inst.isWasmOp())
-        return false;
-    LOp lop = inst.lop();
-    return lop == LOp::callf || lop == LOp::call_host || lop == LOp::calli;
 }
 
 /** A conditional or unconditional transfer of control ends a block. */
@@ -402,8 +389,7 @@ remapFacts(LoweredFunc& func, const std::vector<uint32_t>& new_pc)
 /**
  * Insert instructions before given pcs. A jump targeting an insertion
  * point lands after the inserted instruction (back edges re-enter the
- * loop body, not the hoisted preheader check); fallthrough entry
- * executes it.
+ * loop body, not the preheader guard); fallthrough entry executes it.
  */
 void
 applyInsertions(LoweredFunc& func,
@@ -463,77 +449,8 @@ applyDeletions(LoweredFunc& func, const std::vector<uint8_t>& drop)
 }
 
 // ---------------------------------------------------------------------
-// Loop-invariant check hoisting (trap strategy only)
+// Loop shape helpers
 // ---------------------------------------------------------------------
-
-/**
- * May @p inst run before a hoisted check without changing observable
- * behavior when the check traps? Loads are allowed: they either succeed
- * without side effects or raise the same out-of-bounds trap kind the
- * hoisted check raises. Instructions with side effects or with other
- * trap kinds (division, checked truncation) are not.
- */
-bool
-isHoistSafePrefix(const LInst& inst)
-{
-    if (!inst.isWasmOp())
-        return inst.lop() == LOp::copy || inst.lop() == LOp::check_bounds;
-    Op op = inst.wasmOp();
-    if (isAtomicOp(op))
-        return false; // synchronization points: writes, waits, wakes
-    if (isStoreOp(op))
-        return false;
-    if (isLoadOp(op))
-        return true;
-    switch (op) {
-      case Op::global_set:
-      case Op::memory_grow:
-      case Op::memory_copy:
-      case Op::memory_fill:
-      case Op::i32_div_s:
-      case Op::i32_div_u:
-      case Op::i32_rem_s:
-      case Op::i32_rem_u:
-      case Op::i64_div_s:
-      case Op::i64_div_u:
-      case Op::i64_rem_s:
-      case Op::i64_rem_u:
-      case Op::i32_trunc_f32_s:
-      case Op::i32_trunc_f32_u:
-      case Op::i32_trunc_f64_s:
-      case Op::i32_trunc_f64_u:
-      case Op::i64_trunc_f32_s:
-      case Op::i64_trunc_f32_u:
-      case Op::i64_trunc_f64_s:
-      case Op::i64_trunc_f64_u:
-        return false;
-      case Op::select:
-      case Op::global_get:
-        return true;
-      default:
-        return opInfo(op).sig[0] != '*';
-    }
-}
-
-bool
-loopClobbersCell(const LoweredFunc& func, const Cfg& cfg, const Loop& loop,
-                 uint32_t cell)
-{
-    for (uint32_t b = 0; b < cfg.blocks.size(); b++) {
-        if (!loop.body[b])
-            continue;
-        for (uint32_t pc = cfg.blocks[b].begin; pc < cfg.blocks[b].end;
-             pc++) {
-            const LInst& inst = func.code[pc];
-            if (isCallLop(inst))
-                return true; // calls clobber the argument area
-            uint32_t written;
-            if (writesCell(inst, written) && written == cell)
-                return true;
-        }
-    }
-    return false;
-}
 
 /** True if block @p p ends with a jump whose target is pc @p h. */
 bool
@@ -557,150 +474,6 @@ blockJumpsTo(const LoweredFunc& func, const Block& p, uint32_t h)
       default:
         return false;
     }
-}
-
-struct HoistResult
-{
-    std::vector<std::pair<uint32_t, LInst>> inserts;
-    std::vector<uint32_t> elidePcs;
-    uint64_t hoisted = 0;
-};
-
-/** @p skip (optional, pc-indexed) marks accesses whose check is already
- * elidable (e.g. on a versioned fast path); hoisting leaves them alone
- * rather than inserting a redundant preheader check. */
-HoistResult
-planHoists(const LoweredFunc& func, const Cfg& cfg,
-           const std::vector<uint8_t>* skip = nullptr)
-{
-    HoistResult result;
-    std::vector<Loop> loops = findNaturalLoops(cfg);
-    for (const Loop& loop : loops) {
-        const Block& header = cfg.blocks[loop.header];
-        uint32_t h = header.begin;
-        // Preheader entry must be fallthrough-only: every jump into the
-        // header pc has to be a back edge from inside the loop, or the
-        // hoisted check could be bypassed / run on a non-entry path.
-        bool eligible = true;
-        for (uint32_t p : header.preds) {
-            if (!loop.body[p] && blockJumpsTo(func, cfg.blocks[p], h)) {
-                eligible = false;
-                break;
-            }
-        }
-        if (!eligible)
-            continue;
-
-        // Walk the header block. Every instruction up to an access
-        // provably executes each iteration; stop at the first
-        // instruction that could have observable effects before a trap.
-        struct Def
-        {
-            enum Kind { copy, constant, other } kind = other;
-            uint32_t src = 0;
-            uint64_t val = 0;
-            /** PC of the defining instruction; chain resolution only
-             * follows defs strictly older than the point being
-             * resolved, which also guarantees termination on cyclic
-             * copy chains (swap patterns). */
-            uint32_t pc = 0;
-        };
-        std::unordered_map<uint32_t, Def> defs;
-        // Per-loop merged checks: cell-relative (cell -> max limit) and
-        // one constant absolute limit.
-        std::map<uint32_t, uint64_t> cellChecks;
-        bool haveConstCheck = false;
-        uint64_t constLimit = 0;
-        for (uint32_t pc = header.begin; pc < header.end; pc++) {
-            const LInst& inst = func.code[pc];
-            if (inst.isWasmOp() && (!skip || !(*skip)[pc]) &&
-                (isLoadOp(inst.wasmOp()) || isStoreOp(inst.wasmOp()))) {
-                Op op = inst.wasmOp();
-                uint64_t limit = inst.imm + memAccessSize(op);
-                // Resolve the address cell through in-block copies. The
-                // map holds each cell's LATEST in-block def, so a copy
-                // may only be followed to a source def recorded before
-                // the copy itself: a later redefinition of the source
-                // (swap patterns) means the value the copy read is gone.
-                // as_of strictly decreases, so the walk terminates even
-                // on cyclic copy chains.
-                uint32_t cur = inst.a;
-                uint32_t as_of = pc;
-                const Def* def;
-                bool is_const = false;
-                uint64_t const_val = 0;
-                for (;;) {
-                    auto it = defs.find(cur);
-                    if (it == defs.end())
-                        break; // live-in to the header: stable name
-                    def = &it->second;
-                    if (def->pc >= as_of) {
-                        cur = UINT32_MAX; // redefined since; unknown
-                        break;
-                    }
-                    if (def->kind == Def::copy) {
-                        as_of = def->pc;
-                        cur = def->src;
-                        continue;
-                    }
-                    if (def->kind == Def::constant) {
-                        is_const = true;
-                        const_val = def->val;
-                    } else {
-                        cur = UINT32_MAX;
-                    }
-                    break;
-                }
-                if (is_const) {
-                    constLimit = std::max(
-                        constLimit, uint64_t(uint32_t(const_val)) + limit);
-                    haveConstCheck = true;
-                    result.elidePcs.push_back(pc);
-                    result.hoisted++;
-                } else if (cur != UINT32_MAX &&
-                           !loopClobbersCell(func, cfg, loop, cur)) {
-                    uint64_t& merged = cellChecks[cur];
-                    merged = std::max(merged, limit);
-                    result.elidePcs.push_back(pc);
-                    result.hoisted++;
-                }
-            }
-            if (!isHoistSafePrefix(inst))
-                break;
-            // Track in-block definitions for address provenance.
-            if (inst.isWasmOp()) {
-                Op op = inst.wasmOp();
-                if (op == Op::i32_const || op == Op::i64_const ||
-                    op == Op::f32_const || op == Op::f64_const) {
-                    defs[inst.a] = {Def::constant, 0, inst.imm, pc};
-                    continue;
-                }
-            } else if (inst.lop() == LOp::copy) {
-                defs[inst.b] = {Def::copy, inst.a, 0, pc};
-                continue;
-            }
-            uint32_t written;
-            if (writesCell(inst, written))
-                defs[written] = {Def::other, 0, 0, pc};
-        }
-
-        for (const auto& [cell, limit] : cellChecks) {
-            LInst check;
-            check.op = uint16_t(LOp::check_bounds);
-            check.aux = 0;
-            check.a = cell;
-            check.imm = limit;
-            result.inserts.emplace_back(h, check);
-        }
-        if (haveConstCheck) {
-            LInst check;
-            check.op = uint16_t(LOp::check_bounds);
-            check.aux = 1;
-            check.imm = constLimit;
-            result.inserts.emplace_back(h, check);
-        }
-    }
-    return result;
 }
 
 // ---------------------------------------------------------------------
@@ -838,7 +611,8 @@ planLoopVersion(const LoweredFunc& func, const Cfg& cfg, const Loop& loop,
                 LoopVersionPlan& plan)
 {
     // Exactly one block in the body, and a fallthrough-only entry (every
-    // jump to the header pc must be the back edge), mirroring hoisting.
+    // jump to the header pc must be the back edge), so the preheader
+    // guard cannot be bypassed.
     uint32_t nbody = 0;
     for (uint8_t in : loop.body)
         nbody += in;
@@ -1195,16 +969,13 @@ constexpr uint32_t kNoVn = 0;
 /**
  * Per-block value numbering of cell contents; marks accesses whose
  * check is covered by an earlier check of the same address value.
- * Under @p ipo, callf only forgets cell names at and above its
- * argument base (inst.b): frames overlap, so a wasm callee cannot
- * write caller cells below it. calli stays fully conservative — its
- * inst.b is the table-index cell, not the arg base, so the real base
- * (inst.b - nargs, which needs the callee type) is unknown here — as
- * do host calls.
+ * Every call forgets all cell names: a callee may write any cell of
+ * the overlapping frame (for calli, inst.b is the table-index cell,
+ * not the argument base).
  */
 uint64_t
 markVnElidableChecks(const LoweredFunc& func, const Cfg& cfg,
-                     std::vector<uint8_t>& hinted, bool ipo)
+                     std::vector<uint8_t>& hinted)
 {
     uint64_t marked = 0;
     std::vector<uint32_t> cellVn(func.numCells, kNoVn);
@@ -1233,25 +1004,11 @@ markVnElidableChecks(const LoweredFunc& func, const Cfg& cfg,
                   case LOp::copy:
                     cellVn[inst.b] = vnOf(inst.a);
                     break;
-                  case LOp::check_bounds:
-                    if (inst.aux == 0) {
-                        uint64_t& limit = avail[vnOf(inst.a)];
-                        limit = std::max(limit, inst.imm);
-                    }
-                    break;
                   case LOp::callf:
-                    // Callee overlap clobbers cells from the arg base
-                    // up; values already checked stay checked, so
-                    // `avail` survives.
-                    if (ipo) {
-                        std::fill(cellVn.begin() + inst.b, cellVn.end(),
-                                  kNoVn);
-                        break;
-                    }
-                    [[fallthrough]];
-                  case LOp::calli: // inst.b is the table index, not the
-                                   // arg base: forget every cell name
+                  case LOp::calli:
                   case LOp::call_host:
+                    // Values already checked stay checked, so `avail`
+                    // survives; only the cell names are lost.
                     std::fill(cellVn.begin(), cellVn.end(), kNoVn);
                     break;
                   default:
@@ -1330,7 +1087,6 @@ markVnElidableChecks(const LoweredFunc& func, const Cfg& cfg,
 }
 
 using Facts = std::map<uint32_t, uint64_t>; // address cell -> checked limit
-// (the pseudo-cell kCheckFactConstCell carries "memSize >= limit")
 
 /** Intersect @p into with @p other, keeping the smaller limit. */
 void
@@ -1347,97 +1103,26 @@ meetFacts(Facts& into, const Facts& other)
     }
 }
 
-/** Interprocedural context threaded through the dataflow when summaries
- * are enabled; null pointers select the old intraprocedural behavior. */
-struct IpoView
-{
-    const LoweredModule* mod = nullptr;
-    const std::vector<FuncSummary>* summaries = nullptr;
-
-    const FuncSummary* summaryFor(uint32_t module_func_idx) const
-    {
-        if (!mod || !summaries)
-            return nullptr;
-        uint32_t d = module_func_idx - mod->module.numImportedFuncs();
-        return d < summaries->size() ? &(*summaries)[d] : nullptr;
-    }
-};
-
-/** Drop facts a call with argument base @p arg_base can invalidate: the
- * callee frame overlaps the caller's from arg_base up, so only cells
- * there are clobbered; the const pseudo-fact survives (memSize is
- * monotone). */
-void
-killFactsFromCall(Facts& facts, uint32_t arg_base)
-{
-    for (auto it = facts.lower_bound(arg_base); it != facts.end();) {
-        if (it->first == kCheckFactConstCell)
-            ++it;
-        else
-            it = facts.erase(it);
-    }
-}
-
 /**
  * Transfer function modeling the JIT's dynamic per-cell check cache:
  * facts are generated where the JIT emits (and caches) a check, and
  * killed where the address cell is rewritten or a call clobbers the
  * frame. Accesses already hinted as elidable generate nothing (the JIT
- * will not emit a check there). Under @p ipo: facts follow values
- * through copies, calls into grow-free callees keep facts below the
- * argument base, completed calls establish the callee's constant-limit
- * fact, and the const pseudo-fact survives calls and memory.grow.
+ * will not emit a check there).
  */
 void
 applyTransfer(const LoweredFunc& func, const Block& block,
-              const std::vector<uint8_t>& hinted, const IpoView* ipo,
-              Facts& facts)
+              const std::vector<uint8_t>& hinted, Facts& facts)
 {
     for (uint32_t pc = block.begin; pc < block.end; pc++) {
         const LInst& inst = func.code[pc];
         if (!inst.isWasmOp()) {
             switch (inst.lop()) {
               case LOp::copy:
-                if (ipo) {
-                    auto it = facts.find(inst.a);
-                    if (it != facts.end())
-                        facts[inst.b] = it->second;
-                    else
-                        facts.erase(inst.b);
-                } else {
-                    facts.erase(inst.b);
-                }
+                facts.erase(inst.b);
                 break;
-              case LOp::check_bounds:
-                if (inst.aux == 0) {
-                    uint64_t& limit = facts[inst.a];
-                    limit = std::max(limit, inst.imm);
-                } else if (ipo) {
-                    uint64_t& limit = facts[kCheckFactConstCell];
-                    limit = std::max(limit, inst.imm);
-                }
-                break;
-              case LOp::callf: {
-                const FuncSummary* s =
-                    ipo ? ipo->summaryFor(inst.a) : nullptr;
-                if (s && s->growFree)
-                    killFactsFromCall(facts, inst.b);
-                else if (ipo)
-                    killFactsFromCall(facts, 0);
-                else
-                    facts.clear();
-                if (s && s->maxConstCheckLimit > 0) {
-                    uint64_t& limit = facts[kCheckFactConstCell];
-                    limit = std::max(limit, s->maxConstCheckLimit);
-                }
-                break;
-              }
+              case LOp::callf:
               case LOp::calli:
-                if (ipo)
-                    killFactsFromCall(facts, 0);
-                else
-                    facts.clear();
-                break;
               case LOp::call_host:
                 facts.clear();
                 break;
@@ -1456,22 +1141,11 @@ applyTransfer(const LoweredFunc& func, const Block& block,
                 facts.erase(inst.a); // the load overwrites its cell
             continue;
         }
-        if (isAtomicOp(op)) {
-            // Synchronization point: a grow performed by another thread
-            // becomes observable here, so no cached check (including the
-            // const pseudo-fact, whose limit was proven against a size
-            // this thread read) may be carried across it.
+        if (isAtomicOp(op) || op == Op::memory_grow) {
+            // Mirror the JIT: a grow (on shared memories, another
+            // thread's, observable at a synchronization point) ends
+            // every cached check.
             facts.clear();
-            continue;
-        }
-        if (op == Op::memory_grow) {
-            // Mirror the JIT: cell facts dropped; under IPO the const
-            // pseudo-fact survives (growing never shrinks memSize).
-            if (ipo)
-                killFactsFromCall(facts, 0);
-            else
-                facts.clear();
-            facts.erase(inst.a); // grow writes its result cell
             continue;
         }
         uint32_t written;
@@ -1486,19 +1160,11 @@ struct DataflowResult
     uint64_t crossBlockCovered = 0;
 };
 
-/**
- * Forward available-checks dataflow. @p entry_seed (may be null) holds
- * facts proven to hold at *any* entry into the function (currently the
- * initial-memory-size const pseudo-fact — sound no matter how the
- * function is reached, including direct Instance::call invocations);
- * they join the entry block's in-state and, when non-empty, are
- * republished as pc-0 entryFacts so the JIT can seed its cache before
- * the first label.
- */
+/** Forward available-checks dataflow; publishes the facts holding at
+ * every jump target. */
 DataflowResult
 runCheckDataflow(const LoweredFunc& func, const Cfg& cfg,
-                 const std::vector<uint8_t>& hinted, const IpoView* ipo,
-                 const Facts* entry_seed)
+                 const std::vector<uint8_t>& hinted)
 {
     DataflowResult result;
     const size_t nb = cfg.blocks.size();
@@ -1510,12 +1176,6 @@ runCheckDataflow(const LoweredFunc& func, const Cfg& cfg,
         for (uint32_t b : cfg.rpo) {
             Facts merged;
             bool first = true;
-            if (b == 0 && entry_seed) {
-                // Function entry contributes the interprocedural seed;
-                // back edges into pc 0 (if any) still meet below.
-                merged = *entry_seed;
-                first = false;
-            }
             for (uint32_t p : cfg.blocks[b].preds) {
                 if (!cfg.reachable[p] || !computed[p])
                     continue;
@@ -1526,7 +1186,7 @@ runCheckDataflow(const LoweredFunc& func, const Cfg& cfg,
                     meetFacts(merged, out[p]);
                 }
             }
-            if (b == 0 && !entry_seed) {
+            if (b == 0) {
                 // Entry starts with an empty cache regardless of back
                 // edges (the JIT begins each function cold).
                 merged.clear();
@@ -1534,7 +1194,7 @@ runCheckDataflow(const LoweredFunc& func, const Cfg& cfg,
             // A block with no computed predecessor yet keeps the
             // optimistic (empty-meet) state.
             Facts next = merged;
-            applyTransfer(func, cfg.blocks[b], hinted, ipo, next);
+            applyTransfer(func, cfg.blocks[b], hinted, next);
             if (!computed[b] || next != out[b] || merged != in[b]) {
                 in[b] = std::move(merged);
                 out[b] = std::move(next);
@@ -1546,8 +1206,7 @@ runCheckDataflow(const LoweredFunc& func, const Cfg& cfg,
 
     for (uint32_t b : cfg.rpo) {
         const Block& block = cfg.blocks[b];
-        bool seeded_entry = b == 0 && !in[b].empty();
-        if (!cfg.jumpTarget[block.begin] && !seeded_entry)
+        if (!cfg.jumpTarget[block.begin])
             continue;
         for (const auto& [cell, limit] : in[b]) {
             result.entryFacts.push_back({block.begin, cell, limit});
@@ -1565,45 +1224,14 @@ runCheckDataflow(const LoweredFunc& func, const Cfg& cfg,
                         it->second >= inst.imm + memAccessSize(op))
                         result.crossBlockCovered++;
                 }
-            }
-            if (!inst.isWasmOp() && inst.lop() == LOp::callf) {
-                const FuncSummary* s =
-                    ipo ? ipo->summaryFor(inst.a) : nullptr;
-                if (s && s->growFree)
-                    killFactsFromCall(fromEntry, inst.b);
-                else if (ipo)
-                    killFactsFromCall(fromEntry, 0);
-                else
+                if (op == Op::memory_grow) {
                     fromEntry.clear();
-                continue;
-            }
-            if (!inst.isWasmOp() &&
-                (inst.lop() == LOp::calli ||
-                 inst.lop() == LOp::call_host)) {
-                if (ipo && inst.lop() == LOp::calli)
-                    killFactsFromCall(fromEntry, 0);
-                else
-                    fromEntry.clear();
-                continue;
-            }
-            if (inst.isWasmOp() && inst.wasmOp() == Op::memory_grow) {
-                if (ipo)
-                    killFactsFromCall(fromEntry, 0);
-                else
-                    fromEntry.clear();
-                fromEntry.erase(inst.a);
-                continue;
-            }
-            if (!inst.isWasmOp() && inst.lop() == LOp::copy) {
-                if (ipo) {
-                    auto it = fromEntry.find(inst.a);
-                    if (it != fromEntry.end())
-                        fromEntry[inst.b] = it->second;
-                    else
-                        fromEntry.erase(inst.b);
-                } else {
-                    fromEntry.erase(inst.b);
+                    continue;
                 }
+            } else if (inst.lop() == LOp::callf ||
+                       inst.lop() == LOp::calli ||
+                       inst.lop() == LOp::call_host) {
+                fromEntry.clear();
                 continue;
             }
             uint32_t written;
@@ -1617,214 +1245,6 @@ runCheckDataflow(const LoweredFunc& func, const Cfg& cfg,
                   return x.pc < y.pc || (x.pc == y.pc && x.cell < y.cell);
               });
     return result;
-}
-
-// ---------------------------------------------------------------------
-// Interprocedural summaries (bottom-up, SCC-aware over the callf graph)
-// ---------------------------------------------------------------------
-
-/**
- * Largest constant limit the function provably checks against memSize
- * before it can return normally: constant-address accesses and
- * check_bounds instructions in the straight-line entry region (pc 0 up
- * to the first terminator) all retire — or trap, in which case the
- * caller never resumes — so "memSize >= limit" holds after any
- * completed call. Calls inside the region are scanned through (they
- * too must have returned normally) but clobber tracked defs.
- */
-uint64_t
-entryConstCheckLimit(const LoweredFunc& func)
-{
-    struct EDef
-    {
-        enum Kind { copy, constant, other } kind = other;
-        uint32_t src = 0;
-        uint64_t val = 0;
-        uint32_t pc = 0;
-    };
-    std::unordered_map<uint32_t, EDef> defs;
-    // Same strictly-decreasing as_of discipline as planHoists: a copy is
-    // only followed to a source def recorded before the copy itself.
-    auto resolveConst = [&defs](uint32_t cell, uint32_t as_of,
-                                uint64_t& val) {
-        uint32_t cur = cell;
-        for (;;) {
-            auto it = defs.find(cur);
-            if (it == defs.end())
-                return false;
-            const EDef& d = it->second;
-            if (d.pc >= as_of)
-                return false;
-            if (d.kind == EDef::copy) {
-                as_of = d.pc;
-                cur = d.src;
-                continue;
-            }
-            if (d.kind == EDef::constant) {
-                val = d.val;
-                return true;
-            }
-            return false;
-        }
-    };
-    uint64_t best = 0;
-    for (uint32_t pc = 0; pc < func.code.size(); pc++) {
-        const LInst& inst = func.code[pc];
-        if (isTerminator(inst))
-            break;
-        if (inst.isWasmOp()) {
-            Op op = inst.wasmOp();
-            if (isLoadOp(op) || isStoreOp(op)) {
-                uint64_t v;
-                if (resolveConst(inst.a, pc, v))
-                    best = std::max(best, uint64_t(uint32_t(v)) +
-                                              inst.imm + memAccessSize(op));
-                if (isLoadOp(op))
-                    defs[inst.a] = {EDef::other, 0, 0, pc};
-                continue;
-            }
-            if (op == Op::i32_const) {
-                defs[inst.a] = {EDef::constant, 0, inst.imm, pc};
-                continue;
-            }
-            uint32_t w;
-            if (writesCell(inst, w))
-                defs[w] = {EDef::other, 0, 0, pc};
-            continue;
-        }
-        switch (inst.lop()) {
-          case LOp::copy:
-            defs[inst.b] = {EDef::copy, inst.a, 0, pc};
-            continue;
-          case LOp::check_bounds: {
-            uint64_t v;
-            if (inst.aux == 1)
-                best = std::max(best, inst.imm);
-            else if (resolveConst(inst.a, pc, v))
-                best = std::max(best, uint64_t(uint32_t(v)) + inst.imm);
-            continue;
-          }
-          case LOp::callf:
-          case LOp::call_host:
-          case LOp::calli:
-            defs.clear(); // callee may clobber cells; keep scanning
-            continue;
-          default:
-            continue;
-        }
-    }
-    return best;
-}
-
-/** Tarjan SCCs (iterative) over the defined-function callf graph, in
- * completion order — every SCC precedes the SCCs that call into it is
- * false; completion order lists callees before their callers. */
-std::vector<std::vector<uint32_t>>
-tarjanSccs(const std::vector<std::vector<uint32_t>>& adj)
-{
-    const uint32_t n = uint32_t(adj.size());
-    std::vector<uint32_t> index(n, UINT32_MAX), low(n, 0);
-    std::vector<uint8_t> onStack(n, 0);
-    std::vector<uint32_t> stack;
-    std::vector<std::vector<uint32_t>> sccs;
-    uint32_t next = 0;
-    struct Frame
-    {
-        uint32_t v;
-        size_t child;
-    };
-    std::vector<Frame> dfs;
-    for (uint32_t root = 0; root < n; root++) {
-        if (index[root] != UINT32_MAX)
-            continue;
-        index[root] = low[root] = next++;
-        stack.push_back(root);
-        onStack[root] = 1;
-        dfs.push_back({root, 0});
-        while (!dfs.empty()) {
-            Frame& f = dfs.back();
-            if (f.child < adj[f.v].size()) {
-                uint32_t w = adj[f.v][f.child++];
-                if (index[w] == UINT32_MAX) {
-                    index[w] = low[w] = next++;
-                    stack.push_back(w);
-                    onStack[w] = 1;
-                    dfs.push_back({w, 0});
-                } else if (onStack[w]) {
-                    low[f.v] = std::min(low[f.v], index[w]);
-                }
-            } else {
-                uint32_t v = f.v;
-                dfs.pop_back();
-                if (!dfs.empty())
-                    low[dfs.back().v] = std::min(low[dfs.back().v], low[v]);
-                if (low[v] == index[v]) {
-                    std::vector<uint32_t> scc;
-                    for (;;) {
-                        uint32_t w = stack.back();
-                        stack.pop_back();
-                        onStack[w] = 0;
-                        scc.push_back(w);
-                        if (w == v)
-                            break;
-                    }
-                    sccs.push_back(std::move(scc));
-                }
-            }
-        }
-    }
-    return sccs;
-}
-
-/** Compute module.funcSummaries: bottom-up grow-freedom over the callf
- * graph (SCC members — mutual or self recursion — degrade to not
- * grow-free) plus the per-function entry constant-check limit. */
-void
-computeFuncSummaries(LoweredModule& module)
-{
-    const uint32_t n = uint32_t(module.funcs.size());
-    const uint32_t imported = module.module.numImportedFuncs();
-    module.funcSummaries.assign(n, FuncSummary{});
-    std::vector<std::vector<uint32_t>> callees(n);
-    std::vector<uint8_t> localBar(n, 0); // grows, host or indirect calls
-    for (uint32_t i = 0; i < n; i++) {
-        const LoweredFunc& func = module.funcs[i];
-        for (const LInst& inst : func.code) {
-            if (inst.isWasmOp()) {
-                if (inst.wasmOp() == Op::memory_grow)
-                    localBar[i] = 1;
-                continue;
-            }
-            switch (inst.lop()) {
-              case LOp::callf:
-                callees[i].push_back(inst.a - imported);
-                break;
-              case LOp::call_host:
-              case LOp::calli:
-                localBar[i] = 1;
-                break;
-              default:
-                break;
-            }
-        }
-        std::sort(callees[i].begin(), callees[i].end());
-        callees[i].erase(
-            std::unique(callees[i].begin(), callees[i].end()),
-            callees[i].end());
-        module.funcSummaries[i].maxConstCheckLimit =
-            entryConstCheckLimit(func);
-    }
-    for (const std::vector<uint32_t>& scc : tarjanSccs(callees)) {
-        if (scc.size() != 1)
-            continue; // mutual recursion: conservatively not grow-free
-        uint32_t v = scc[0];
-        if (std::binary_search(callees[v].begin(), callees[v].end(), v))
-            continue; // self recursion
-        bool ok = !localBar[v];
-        for (uint32_t w : callees[v])
-            ok = ok && module.funcSummaries[w].growFree;
-        module.funcSummaries[v].growFree = ok;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1933,11 +1353,8 @@ fuseSuperinstructions(LoweredFunc& func)
 // Entry points
 // ---------------------------------------------------------------------
 
-/** Per-function pipeline. @p ipo / @p entry_seed are null outside
- * module-level IPO runs. */
 OptStats
-optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
-                     const IpoView* ipo, const Facts* entry_seed)
+optimizeLoweredFunc(LoweredFunc& func, const OptOptions& opts)
 {
     OptStats stats;
     stats.instsBefore = func.code.size();
@@ -1949,28 +1366,12 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
     }
 
     // Versioning runs first: it appends clones and marks fast-path
-    // accesses elidable; hoisting and the analyses below then see (and
-    // skip) those marks.
+    // accesses elidable; the analyses below then see (and skip) those
+    // marks.
     if (opts.versionLoops) {
         VersionResult versioned = versionLoops(func);
         stats.loopsVersioned = versioned.loopsVersioned;
         stats.checksVersioned = versioned.checksVersioned;
-    }
-
-    if (opts.hoistChecks) {
-        Cfg cfg = buildCfg(func);
-        std::vector<uint8_t> skip(func.code.size(), 0);
-        for (uint32_t pc : func.elidableCheckPcs)
-            skip[pc] = 1;
-        HoistResult hoists = planHoists(func, cfg, &skip);
-        if (!hoists.inserts.empty()) {
-            // Merge elide pcs before applyInsertions so the remap covers
-            // both the hoisted and the versioned marks.
-            for (uint32_t pc : hoists.elidePcs)
-                func.elidableCheckPcs.push_back(pc);
-            applyInsertions(func, std::move(hoists.inserts));
-            stats.checksHoisted = hoists.hoisted;
-        }
     }
 
     if (opts.analyzeChecks) {
@@ -1978,49 +1379,17 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
         std::vector<uint8_t> hinted(func.code.size(), 0);
         for (uint32_t pc : func.elidableCheckPcs)
             hinted[pc] = 1;
-        uint64_t covered = 0;
-        if (ipo != nullptr) {
-            if (opts.ipoStats) {
-                // Diagnostics-only baseline run with the old
-                // clear-at-call semantics so the IPO contribution can
-                // be attributed (opt.checks_elided_ipo). Its hint marks
-                // are discarded; only the covered count is kept.
-                std::vector<uint8_t> base_hinted = hinted;
-                uint64_t base = markVnElidableChecks(
-                    func, cfg, base_hinted, /*ipo=*/false);
-                DataflowResult base_flow = runCheckDataflow(
-                    func, cfg, base_hinted, nullptr, nullptr);
-                base += base_flow.crossBlockCovered;
-                covered =
-                    markVnElidableChecks(func, cfg, hinted, /*ipo=*/true);
-                DataflowResult flow =
-                    runCheckDataflow(func, cfg, hinted, ipo, entry_seed);
-                covered += flow.crossBlockCovered;
-                if (covered > base)
-                    stats.checksElidedIpo = covered - base;
-                func.entryCheckFacts = std::move(flow.entryFacts);
-            } else {
-                covered =
-                    markVnElidableChecks(func, cfg, hinted, /*ipo=*/true);
-                DataflowResult flow =
-                    runCheckDataflow(func, cfg, hinted, ipo, entry_seed);
-                covered += flow.crossBlockCovered;
-                func.entryCheckFacts = std::move(flow.entryFacts);
-            }
-        } else {
-            covered = markVnElidableChecks(func, cfg, hinted, /*ipo=*/false);
-            DataflowResult flow =
-                runCheckDataflow(func, cfg, hinted, nullptr, nullptr);
-            covered += flow.crossBlockCovered;
-            func.entryCheckFacts = std::move(flow.entryFacts);
-        }
+        uint64_t covered = markVnElidableChecks(func, cfg, hinted);
+        DataflowResult flow = runCheckDataflow(func, cfg, hinted);
+        covered += flow.crossBlockCovered;
+        func.entryCheckFacts = std::move(flow.entryFacts);
         stats.checksElided = covered;
         func.elidableCheckPcs.clear();
         for (uint32_t pc = 0; pc < hinted.size(); pc++) {
             if (hinted[pc])
                 func.elidableCheckPcs.push_back(pc);
         }
-    } else if (opts.versionLoops || opts.hoistChecks) {
+    } else if (opts.versionLoops) {
         // The executors binary-search elidableCheckPcs; keep it sorted
         // even when the analysis pass did not rebuild it.
         std::sort(func.elidableCheckPcs.begin(),
@@ -2050,52 +1419,22 @@ optimizeFuncInternal(LoweredFunc& func, const OptOptions& opts,
 }
 
 OptStats
-optimizeLoweredFunc(LoweredFunc& func, const OptOptions& opts)
-{
-    return optimizeFuncInternal(func, opts, nullptr, nullptr);
-}
-
-OptStats
 optimizeLoweredModule(LoweredModule& module, const OptOptions& opts)
 {
     OptStats total;
-    module.funcSummaries.clear();
-    IpoView view;
-    Facts seed;
-    const IpoView* ipo = nullptr;
-    const Facts* entry_seed = nullptr;
-    if (opts.ipoSummaries && opts.analyzeChecks) {
-        computeFuncSummaries(module);
-        view.mod = &module;
-        view.summaries = &module.funcSummaries;
-        ipo = &view;
-        // Sound at *any* entry — including direct Instance::call into an
-        // arbitrary function index: memories never shrink below their
-        // initial size, so memSize >= min pages holds unconditionally.
-        if (!module.module.memories.empty() &&
-            module.module.memories[0].min > 0) {
-            seed[kCheckFactConstCell] =
-                uint64_t(module.module.memories[0].min) * kPageSize;
-            entry_seed = &seed;
-        }
-    }
     for (LoweredFunc& func : module.funcs) {
-        OptStats s = optimizeFuncInternal(func, opts, ipo, entry_seed);
-        total.checksHoisted += s.checksHoisted;
+        OptStats s = optimizeLoweredFunc(func, opts);
         total.checksElided += s.checksElided;
         total.instsFused += s.instsFused;
         total.loopsVersioned += s.loopsVersioned;
         total.checksVersioned += s.checksVersioned;
-        total.checksElidedIpo += s.checksElidedIpo;
         total.instsBefore += s.instsBefore;
         total.instsAfter += s.instsAfter;
     }
     OptCounters& counters = optCounters();
-    counters.hoisted.add(total.checksHoisted);
     counters.elided.add(total.checksElided);
     counters.fused.add(total.instsFused);
     counters.versioned.add(total.loopsVersioned);
-    counters.elidedIpo.add(total.checksElidedIpo);
     return total;
 }
 

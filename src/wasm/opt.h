@@ -1,7 +1,7 @@
 /**
  * @file
  * Optimization pass over the lowered slot-machine IR, shared by the
- * interpreter and JIT tiers. Five transforms, selected per engine
+ * interpreter and JIT tiers. Three transforms, selected per engine
  * configuration:
  *
  *  - Bounds-check analysis (trap strategy only): rediscovers basic
@@ -14,15 +14,6 @@
  *    JIT keep eliding across block boundaries instead of resetting its
  *    per-block cache at every label.
  *
- *  - Loop-invariant check hoisting (trap strategy only): an access in a
- *    natural-loop header whose address provably repeats every iteration
- *    (a copy of a cell never written inside the loop, or a constant) and
- *    executes before any observable side effect gets its check hoisted
- *    to the preheader as a `check_bounds` instruction; the in-loop check
- *    is elided. Sound because linear memories never shrink and the
- *    hoisted check raises the same out-of-bounds trap the first
- *    iteration would have raised.
- *
  *  - Affine loop versioning (trap strategy only): for single-block
  *    bottom-test counted loops whose memory accesses are affine in the
  *    induction variable (`k_iv*i + k_base*base + const`), the loop body
@@ -31,18 +22,7 @@
  *    64-bit arithmetic over the maximum IV extent, which also rules out
  *    u32 wraparound of the in-loop address arithmetic — that jump to the
  *    fully-checked clone when they fail. The only sound way to remove
- *    variable-index checks, which hoisting can never touch.
- *
- *  - Interprocedural check summaries: a bottom-up, SCC-aware pass over
- *    the callf graph computes per-function `FuncSummary` facts
- *    (grow-free? max constant limit checked on entry?) so the dataflow
- *    stops killing facts at calls into grow-free callees (frames
- *    overlap: a direct call clobbers only cells >= the arg base),
- *    propagates facts through copies, and seeds every function's entry
- *    facts (pc 0) with the unconditional initial-memory-size fact
- *    (memSize >= min pages, sound at any entry because memories never
- *    shrink). call_indirect, host calls and SCC cycles degrade to the
- *    old clear-at-call behavior.
+ *    variable-index checks.
  *
  *  - Superinstruction fusion (interpreter tiers): adjacent
  *    const+binop, compare+branch, copy+binop, and load+binop pairs are
@@ -51,11 +31,11 @@
  *    original two instructions through the shared semantic functions, so
  *    results (including NaN payloads and trap order) stay bit-exact.
  *
- * The pass reports opt.checks_hoisted, opt.checks_elided_crossblock,
- * opt.loops_versioned, opt.checks_elided_ipo and opt.insts_fused through
- * the obs registry (opt.guard_fallbacks is a runtime counter fed from
- * InstanceContext::guardFallbacks; opt.checks_elided_ipo only advances
- * when the diagnostics-only OptOptions::ipoStats attribution is on).
+ * The check analysis is intraprocedural: every call clears the facts.
+ *
+ * The pass reports opt.checks_elided_crossblock, opt.loops_versioned and
+ * opt.insts_fused through the obs registry (opt.guard_fallbacks is a
+ * runtime counter fed from InstanceContext::guardFallbacks).
  */
 #ifndef LNB_WASM_OPT_H
 #define LNB_WASM_OPT_H
@@ -66,28 +46,24 @@
 
 namespace lnb::wasm {
 
-/** Which transforms to run. Check analysis, hoisting, versioning and IPO
- * summaries are only sound when the executor traps (never clamps) on
- * out-of-bounds accesses; the caller is responsible for enabling them
- * only under that strategy. */
+/** Which transforms to run. Check analysis and versioning are only sound
+ * when the executor traps (never clamps) on out-of-bounds accesses; the
+ * caller is responsible for enabling them only under that strategy. */
 struct OptOptions
 {
     bool fuse = false;          ///< superinstruction fusion
     bool analyzeChecks = false; ///< VN elision hints + cross-block facts
-    bool hoistChecks = false;   ///< loop-invariant check hoisting
+    /** No effect; kept only because lnbbench/steady.cc sets it. */
+    bool hoistChecks = false;
     bool versionLoops = false;  ///< affine loop versioning (guard + clone)
-    bool ipoSummaries = false;  ///< interprocedural check summaries
-    /** Attribute the IPO contribution (opt.checks_elided_ipo /
-     * OptStats::checksElidedIpo) by re-running the check analysis with
-     * the old clear-at-call semantics as a baseline. Diagnostics only —
-     * the emitted code is identical either way — and roughly doubles
-     * check-analysis compile time, so it defaults off. */
-    bool ipoStats = false;
+    /** No effect; kept only because lnbbench/steady.cc sets it. */
+    bool ipoSummaries = false;
 };
 
 /** What the pass did, accumulated over all functions of a module. */
 struct OptStats
 {
+    /** Always 0; kept only because lnbbench/steady.cc reads it. */
     uint64_t checksHoisted = 0;
     uint64_t checksElided = 0;
     uint64_t instsFused = 0;
@@ -95,24 +71,17 @@ struct OptStats
     uint64_t loopsVersioned = 0;
     /** Accesses on versioned fast paths whose checks became elidable. */
     uint64_t checksVersioned = 0;
-    /** Extra covered checks attributable to interprocedural summaries
-     * (facts surviving calls, callee entry seeding) vs. the same
-     * dataflow with the old clear-at-call behavior. Only computed when
-     * OptOptions::ipoStats is set; 0 otherwise. */
-    uint64_t checksElidedIpo = 0;
     /** Lowered instruction counts before/after (fusion shrinks code,
-     * versioning and hoisting grow it). */
+     * versioning grows it). */
     uint64_t instsBefore = 0;
     uint64_t instsAfter = 0;
 };
 
-/** Optimize one lowered function in place (no interprocedural context:
- * ipoSummaries is ignored at this granularity). */
+/** Optimize one lowered function in place. */
 OptStats optimizeLoweredFunc(LoweredFunc& func, const OptOptions& opts);
 
-/** Optimize every function of @p module in place — in call-graph
- * top-down order with summaries when ipoSummaries is set — and bump the
- * obs counters by the module-wide totals. */
+/** Optimize every function of @p module in place and bump the obs
+ * counters by the module-wide totals. */
 OptStats optimizeLoweredModule(LoweredModule& module, const OptOptions& opts);
 
 } // namespace lnb::wasm

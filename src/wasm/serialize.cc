@@ -174,7 +174,6 @@ serializeLoweredModule(const LoweredModule& lm, ByteWriter& w,
     w.u64(lm.funcs.size());
     for (const LoweredFunc& f : lm.funcs)
         writeLoweredFunc(f, w, include_func_code);
-    w.podVec(lm.funcSummaries);
     w.podVec(lm.typeCanon);
 }
 
@@ -191,7 +190,6 @@ deserializeLoweredModule(ByteReader& r, LoweredModule& out)
     out.funcs.reserve(size_t(n));
     for (uint64_t i = 0; i < n && r.ok(); i++)
         out.funcs.push_back(readLoweredFunc(r, include_func_code));
-    out.funcSummaries = r.podVec<FuncSummary>();
     out.typeCanon = r.podVec<uint32_t>();
     return r.ok();
 }

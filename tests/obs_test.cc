@@ -304,8 +304,8 @@ TEST(Report, OptPassCountersAppearInBenchResultReports)
     const JsonValue* counters = doc.find("counters");
     ASSERT_NE(counters, nullptr);
     for (const char* name :
-         {"opt.checks_hoisted", "opt.checks_elided_crossblock",
-          "opt.insts_fused"}) {
+         {"opt.checks_elided_crossblock", "opt.insts_fused",
+          "opt.loops_versioned"}) {
         ASSERT_NE(counters->find(name), nullptr)
             << name << " missing from the run report";
     }

@@ -1,17 +1,21 @@
 /**
  * @file
  * Tests for the lowered-IR optimization pass (wasm/opt.*): fusion
- * counts and pc remapping, loop-invariant check hoisting, cross-block
- * check facts, the bounds-check soundness property (a rewrite of the
- * address cell must never let an elided check skip a required trap),
- * and the headline elision rate on a PolyBench-style loop kernel.
+ * counts and pc remapping, cross-block check facts, loop versioning,
+ * the bounds-check soundness property (a rewrite of the address cell
+ * must never let an elided check skip a required trap), the
+ * LNB_OPT_DISABLED switch, and the headline elision rate on a
+ * PolyBench-style loop kernel.
  */
 #include <gtest/gtest.h>
+
+#include <cstdlib>
 
 #include "jit/compiler.h"
 #include "obs/metrics.h"
 #include "runtime/engine.h"
 #include "runtime/instance.h"
+#include "svc/module_cache.h"
 #include "wasm/builder.h"
 #include "wasm/lower.h"
 #include "wasm/opt.h"
@@ -27,7 +31,7 @@ using rt::EngineKind;
 using rt::Instance;
 
 /** sum += mem[addr] over i in [0, n) with a bottom-test loop, so the
- * loop header holds the body (the shape hoisting targets). */
+ * loop header holds the body. */
 Module
 bottomTestSumModule()
 {
@@ -173,46 +177,8 @@ TEST(Fusion, InterpretersMatchUnoptimizedResults)
 }
 
 // ---------------------------------------------------------------------
-// Hoisting + cross-block facts
+// Value numbering + cross-block facts
 // ---------------------------------------------------------------------
-
-TEST(Hoisting, BottomTestLoopGetsPreheaderCheck)
-{
-    Module module = bottomTestSumModule();
-    auto lowered = lowerModule(std::move(module));
-    ASSERT_TRUE(lowered.isOk());
-    LoweredModule lm = lowered.takeValue();
-
-    OptOptions opts;
-    opts.analyzeChecks = true;
-    opts.hoistChecks = true;
-    OptStats stats = optimizeLoweredModule(lm, opts);
-    EXPECT_GE(stats.checksHoisted, 1u);
-
-    const LoweredFunc& func = lm.funcs[0];
-    int checks = 0;
-    uint32_t check_pc = 0;
-    for (uint32_t pc = 0; pc < func.code.size(); pc++) {
-        const LInst& inst = func.code[pc];
-        if (!inst.isWasmOp() && inst.lop() == LOp::check_bounds) {
-            checks++;
-            check_pc = pc;
-            EXPECT_EQ(inst.aux, 0u); // cell-relative: addr + 4 <= memSize
-            EXPECT_EQ(inst.imm, 4u);
-        }
-    }
-    ASSERT_EQ(checks, 1);
-    // The back edge must jump past the hoisted check (it runs once per
-    // loop entry, not per iteration).
-    for (const LInst& inst : func.code) {
-        if (!inst.isWasmOp() && (inst.lop() == LOp::jump ||
-                                 inst.lop() == LOp::jump_if)) {
-            EXPECT_NE(inst.a, check_pc);
-        }
-    }
-    // The in-loop access is marked elidable for the JIT.
-    EXPECT_FALSE(func.elidableCheckPcs.empty());
-}
 
 TEST(Analysis, RmwStoreCheckIsValueNumberedAway)
 {
@@ -488,18 +454,14 @@ blockedLoopModule(bool use_grow)
     return mb.build();
 }
 
-/** Optimize one module with the full check pipeline (analysis, hoisting,
- * versioning, IPO summaries) as the engine would configure it. */
+/** Optimize one module with the full check pipeline (analysis and
+ * versioning) as the engine would configure it. */
 OptStats
-optimizeWithVersioning(LoweredModule& lm, bool versioning = true,
-                       bool ipo = true)
+optimizeWithVersioning(LoweredModule& lm, bool versioning = true)
 {
     OptOptions opts;
     opts.analyzeChecks = true;
-    opts.hoistChecks = true;
     opts.versionLoops = versioning;
-    opts.ipoSummaries = ipo;
-    opts.ipoStats = ipo; // tests assert the attributed counter
     return optimizeLoweredModule(lm, opts);
 }
 
@@ -651,84 +613,15 @@ TEST(Versioning, U32WraparoundFallsBackSoundly)
 }
 
 // ---------------------------------------------------------------------
-// Interprocedural check summaries
+// call_indirect clears the check facts
 // ---------------------------------------------------------------------
-
-/**
- * callee: grow-free leaf returning mem[8]. caller: mem[addr] + callee()
- * + mem[addr] — without summaries the call kills the first check's fact,
- * with summaries the grow-free callee (whose frame sits above the
- * caller's cells) preserves it for the second load.
- */
-Module
-ipoCallModule(bool callee_grows)
-{
-    ModuleBuilder mb;
-    mb.addMemory(1, 4);
-    uint32_t leaf_t = mb.addType({ValType::i32}, {ValType::i32});
-    auto& leaf = mb.addFunction(leaf_t); // param: addr
-    if (callee_grows) {
-        leaf.i32Const(0);
-        leaf.memoryGrow();
-        leaf.drop();
-    }
-    leaf.localGet(0);
-    leaf.memOp(Op::i32_load, 0);
-    uint32_t callee = leaf.finish();
-
-    uint32_t t = mb.addType({ValType::i32}, {ValType::i32});
-    auto& f = mb.addFunction(t); // param: addr
-    f.localGet(0);
-    f.memOp(Op::i32_load, 0);
-    f.i32Const(8);
-    f.call(callee);
-    f.emit(Op::i32_add);
-    f.localGet(0);
-    f.memOp(Op::i32_load, 0);
-    f.emit(Op::i32_add);
-    uint32_t idx = f.finish();
-    mb.exportFunc("run", idx);
-    return mb.build();
-}
-
-TEST(Ipo, GrowFreeCalleeKeepsCallerFacts)
-{
-    auto lowered = lowerModule(ipoCallModule(false));
-    ASSERT_TRUE(lowered.isOk());
-    LoweredModule lm = lowered.takeValue();
-
-    OptStats stats = optimizeWithVersioning(lm);
-    ASSERT_EQ(lm.funcSummaries.size(), 2u);
-    EXPECT_TRUE(lm.funcSummaries[0].growFree);
-    EXPECT_TRUE(lm.funcSummaries[1].growFree);
-    // The caller's second mem[addr] check is elidable only because the
-    // summary proves the call cannot shrink facts below its arg base.
-    EXPECT_GE(stats.checksElidedIpo, 1u);
-}
-
-TEST(Ipo, GrowingCalleeLosesGrowFreeBit)
-{
-    auto lowered = lowerModule(ipoCallModule(true));
-    ASSERT_TRUE(lowered.isOk());
-    LoweredModule lm = lowered.takeValue();
-
-    OptStats stats = optimizeWithVersioning(lm);
-    ASSERT_EQ(lm.funcSummaries.size(), 2u);
-    // The callee's grow poisons it and (bottom-up) its caller.
-    EXPECT_FALSE(lm.funcSummaries[0].growFree);
-    EXPECT_FALSE(lm.funcSummaries[1].growFree);
-    // Same-VALUE re-checks stay elidable even across a growing callee:
-    // memSize is monotone, so a passed check for a value holds forever.
-    // growFree only widens what survives in the cell-fact cache.
-    EXPECT_GE(stats.checksElidedIpo, 1u);
-}
 
 /**
  * caller: check mem[addr], then table[0](addr) via call_indirect, then
  * load through the callee-returned value. calli's inst.b is the
  * table-index cell, not the arg base, so the result cell (arg base =
- * inst.b - nargs) sits *below* inst.b — an IPO value-numbering clear
- * that starts at inst.b would leave it holding addr's (checked) value
+ * inst.b - nargs) sits *below* inst.b — a value-numbering clear that
+ * started at inst.b would leave it holding addr's (checked) value
  * number while the callee wrote an arbitrary address into it.
  */
 Module
@@ -757,15 +650,15 @@ indirectResultModule()
     return mb.build();
 }
 
-TEST(Ipo, IndirectCallResultKeepsItsCheck)
+TEST(CallIndirect, ResultKeepsItsCheck)
 {
     auto lowered = lowerModule(indirectResultModule());
     ASSERT_TRUE(lowered.isOk());
     LoweredModule lm = lowered.takeValue();
     optimizeWithVersioning(lm);
 
-    // The load after the calli must not be hinted elidable: no summary
-    // covers an indirect callee, and its result is a fresh value.
+    // The load after the calli must not be hinted elidable: the call
+    // clears every cell name, and its result is a fresh value.
     const LoweredFunc& caller = lm.funcs[1];
     bool saw_calli = false;
     bool checked_post_call_load = false;
@@ -786,7 +679,7 @@ TEST(Ipo, IndirectCallResultKeepsItsCheck)
     EXPECT_TRUE(checked_post_call_load);
 }
 
-TEST(Ipo, IndirectCallResultTrapsOutOfBounds)
+TEST(CallIndirect, ResultTrapsOutOfBounds)
 {
     if (!jit::jitSupported())
         GTEST_SKIP() << "JIT unsupported on this CPU";
@@ -803,32 +696,6 @@ TEST(Ipo, IndirectCallResultTrapsOutOfBounds)
     auto out = inst.value()->callExport("run", {Value::fromI32(0)});
     EXPECT_EQ(out.trap, TrapKind::out_of_bounds_memory)
         << trapKindName(out.trap);
-}
-
-TEST(Ipo, ResultsMatchWithSummariesOnAndOff)
-{
-    for (EngineKind kind :
-         {EngineKind::interp_threaded, EngineKind::jit_opt}) {
-        if (kind == EngineKind::jit_opt && !jit::jitSupported())
-            continue;
-        std::vector<uint32_t> sums;
-        for (bool ipo : {false, true}) {
-            EngineConfig config;
-            config.kind = kind;
-            config.strategy = BoundsStrategy::trap;
-            config.optIpoSummaries = ipo;
-            Engine engine(config);
-            auto compiled = engine.compile(ipoCallModule(false));
-            ASSERT_TRUE(compiled.isOk());
-            auto inst = Instance::create(compiled.takeValue());
-            ASSERT_TRUE(inst.isOk());
-            auto out =
-                inst.value()->callExport("run", {Value::fromI32(16)});
-            ASSERT_TRUE(out.ok());
-            sums.push_back(out.results[0].i32);
-        }
-        EXPECT_EQ(sums[0], sums[1]);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -868,29 +735,55 @@ TEST(Criterion, RetiredChecksDropAtLeast60PercentOnAffineKernel)
 // Toggles
 // ---------------------------------------------------------------------
 
-TEST(Toggles, VersioningAndIpoConfigKnobs)
+TEST(Toggles, VersioningConfigKnob)
 {
-    auto stats_with = [](bool versioning, bool ipo) {
+    auto stats_with = [](bool versioning) {
         auto lowered = lowerModule(affineSumModule());
         LoweredModule lm = lowered.takeValue();
-        return optimizeWithVersioning(lm, versioning, ipo);
+        return optimizeWithVersioning(lm, versioning);
     };
-    EXPECT_GE(stats_with(true, true).loopsVersioned, 1u);
-    EXPECT_EQ(stats_with(false, true).loopsVersioned, 0u);
+    EXPECT_GE(stats_with(true).loopsVersioned, 1u);
+    EXPECT_EQ(stats_with(false).loopsVersioned, 0u);
     // The engine-level kill switch takes the same path.
     if (jit::jitSupported()) {
         EngineConfig config;
         config.kind = EngineKind::jit_opt;
         config.strategy = BoundsStrategy::trap;
         config.optVersioning = false;
-        config.optIpoSummaries = false;
         Engine engine(config);
         auto compiled = engine.compile(affineSumModule());
         ASSERT_TRUE(compiled.isOk());
         EXPECT_EQ(compiled.value()->optStats().loopsVersioned, 0u);
-        EXPECT_EQ(compiled.value()->optStats().checksElidedIpo, 0u);
-        EXPECT_TRUE(compiled.value()->lowered().funcSummaries.empty());
     }
+}
+
+TEST(Toggles, OptDisabledEnvIsResolvedAsAFlag)
+{
+    EngineConfig config;
+    config.kind = EngineKind::jit_opt;
+    config.strategy = BoundsStrategy::trap;
+    ::unsetenv("LNB_OPT_DISABLED");
+    const uint64_t unset =
+        svc::engineConfigFingerprint(rt::resolveEngineConfig(config));
+
+    // "1" turns the pass off in the resolved config, so the code-cache
+    // key cannot match an artifact optimized under the unset default.
+    ::setenv("LNB_OPT_DISABLED", "1", 1);
+    EXPECT_FALSE(rt::resolveEngineConfig(config).optimizeLoweredIR);
+    EXPECT_NE(svc::engineConfigFingerprint(rt::resolveEngineConfig(config)),
+              unset);
+
+    // "0" follows the flag convention: the pass stays on.
+    ::setenv("LNB_OPT_DISABLED", "0", 1);
+    EXPECT_EQ(svc::engineConfigFingerprint(rt::resolveEngineConfig(config)),
+              unset);
+    if (jit::jitSupported()) {
+        Engine engine(config);
+        auto compiled = engine.compile(affineSumModule());
+        ASSERT_TRUE(compiled.isOk());
+        EXPECT_GT(compiled.value()->optStats().loopsVersioned, 0u);
+    }
+    ::unsetenv("LNB_OPT_DISABLED");
 }
 
 TEST(Toggles, DisabledConfigSkipsThePass)

@@ -485,6 +485,20 @@ TEST_F(PersistCacheTest, CorruptTruncatedAndStaleFilesAreRejected)
             fclose(f);
         },
         "stale build id");
+
+    // Previous format version (an artifact written before the lowered-IR
+    // layout changed).
+    mutate_and_expect_reject(
+        [&] {
+            FILE* f = fopen(path.c_str(), "r+b");
+            ASSERT_NE(f, nullptr);
+            // formatVersion occupies header bytes [4, 8).
+            ASSERT_EQ(fseek(f, 4, SEEK_SET), 0);
+            uint32_t previous = 1;
+            fwrite(&previous, sizeof previous, 1, f);
+            fclose(f);
+        },
+        "previous format version");
 }
 
 TEST_F(PersistCacheTest, DifferentConfigUsesDifferentFile)
