@@ -168,14 +168,11 @@ def check_svc_report(doc, path, strategies):
         value = counters.get(name)
         if not isinstance(value, (int, float)) or value <= 0:
             fail(f"{path}: counter {name} missing or zero: {value!r}")
-    # Recycling goes through the snapshot-restore fast path when a
-    # template was captured (the default) and the legacy madvise-zap
-    # reset otherwise (LNB_SNAPSHOT=0, uffd emulation): one of the two
-    # must have fired.
-    if (counters.get("mem.reset_calls", 0) <= 0 and
-            counters.get("mem.restore_calls", 0) <= 0):
-        fail(f"{path}: neither mem.reset_calls nor mem.restore_calls "
-             f"is positive")
+    # Every strategy recycles through LinearMemory::restore(), with or
+    # without a snapshot template.
+    for name in ("mem.restore_calls", "mem.restore_syscalls"):
+        if counters.get(name, 0) <= 0:
+            fail(f"{path}: counter {name} missing or zero")
     if counters.get("svc.requests_trapped", 0) > 0:
         fail(f"{path}: requests trapped during smoke load")
 
@@ -183,15 +180,10 @@ def check_svc_report(doc, path, strategies):
     for name in ("svc.request_ns", "svc.queue_wait_ns",
                  "svc.acquire_warm_ns",
                  "svc.phase_acquire_ns", "svc.phase_exec_ns",
-                 "svc.phase_respond_ns"):
+                 "svc.phase_respond_ns", "mem.restore_ns"):
         hist = histograms.get(name)
         if not hist or hist.get("count", 0) <= 0:
             fail(f"{path}: histogram {name} missing or empty: {hist!r}")
-    reset_hist = histograms.get("mem.reset_ns") or {}
-    restore_hist = histograms.get("mem.restore_ns") or {}
-    if (reset_hist.get("count", 0) <= 0 and
-            restore_hist.get("count", 0) <= 0):
-        fail(f"{path}: neither mem.reset_ns nor mem.restore_ns recorded")
     return config.get("strategy")
 
 
@@ -594,7 +586,6 @@ def coldstart_run(lnb_svc, cache_dir, json_dir, trace_path=None):
     os.makedirs(json_dir)
     env = dict(os.environ)
     env["LNB_CODE_CACHE_DIR"] = cache_dir
-    env["LNB_SNAPSHOT"] = "1"
     env["LNB_JSON_DIR"] = json_dir
     if trace_path is not None:
         env["LNB_TRACE_FILE"] = trace_path

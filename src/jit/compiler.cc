@@ -2722,27 +2722,52 @@ serializeCode(const CompiledCode& code, wasm::ByteWriter& w)
 }
 
 Result<std::unique_ptr<CompiledCode>>
-deserializeCode(wasm::ByteReader& r, exec::FuncCode* code_table)
+deserializeCode(wasm::ByteReader& r, exec::FuncCode* code_table,
+                uint32_t num_imports, uint32_t num_defined)
 {
+    // Every offset and count below indexes memory directly (entry(),
+    // tableCode(), the profiler's symbolization table), so a payload
+    // that does not match the module it claims to belong to is refused
+    // here, never dereferenced.
     auto artifact = std::make_unique<ModuleArtifact>();
     artifact->numImports_ = r.u32();
     artifact->firstDefined_ = r.u32();
     uint64_t used = r.u64();
+    if (artifact->numImports_ != num_imports ||
+        artifact->firstDefined_ != 0) {
+        return errInvalid("artifact does not match the module's imports");
+    }
 
-    uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n && r.ok(); i++)
-        artifact->entryOffsets_.push_back(size_t(r.u64()));
-    n = r.u64();
-    for (uint64_t i = 0; i < n && r.ok(); i++)
-        artifact->thunkOffsets_.push_back(size_t(r.u64()));
+    auto read_offsets = [&](std::vector<size_t>& out, uint32_t expected) {
+        if (r.u64() != expected)
+            return false;
+        for (uint32_t i = 0; i < expected && r.ok(); i++) {
+            uint64_t off = r.u64();
+            if (off >= used)
+                return false;
+            out.push_back(size_t(off));
+        }
+        return true;
+    };
+    if (!read_offsets(artifact->entryOffsets_, num_defined) ||
+        !read_offsets(artifact->thunkOffsets_, num_imports)) {
+        return errInvalid("artifact entry or thunk table does not match "
+                          "the module");
+    }
 
     artifact->codeInfo_.tier = r.u8();
     artifact->codeInfo_.funcStarts = r.podVec<uint32_t>();
     artifact->codeInfo_.funcIndices = r.podVec<uint32_t>();
     artifact->codeInfo_.checkStarts = r.podVec<uint32_t>();
     artifact->codeInfo_.checkEnds = r.podVec<uint32_t>();
+    if (artifact->codeInfo_.funcStarts.size() !=
+            artifact->codeInfo_.funcIndices.size() ||
+        artifact->codeInfo_.checkStarts.size() !=
+            artifact->codeInfo_.checkEnds.size()) {
+        return errInvalid("artifact symbolization table is malformed");
+    }
 
-    n = r.u64();
+    uint64_t n = r.u64();
     for (uint64_t i = 0; i < n && r.ok(); i++) {
         Reloc reloc;
         reloc.offset = r.u32();
@@ -2760,8 +2785,10 @@ deserializeCode(wasm::ByteReader& r, exec::FuncCode* code_table)
 
     // Patch every absolute-address site against this process's symbols
     // and allocations while the buffer is still RW.
+    const uint64_t table_bytes =
+        (uint64_t(num_imports) + num_defined) * sizeof(exec::FuncCode);
     for (const Reloc& reloc : artifact->relocs_) {
-        if (reloc.offset + 8 > used)
+        if (uint64_t(reloc.offset) + 8 > used)
             return errInvalid("relocation outside serialized code");
         uint64_t value;
         switch (reloc.kind) {
@@ -2775,6 +2802,10 @@ deserializeCode(wasm::ByteReader& r, exec::FuncCode* code_table)
           case RelocKind::codeTable:
             if (code_table == nullptr)
                 return errInvalid("artifact needs a code table");
+            if (reloc.addend >= table_bytes ||
+                table_bytes - reloc.addend < sizeof(uint64_t)) {
+                return errInvalid("code-table relocation outside the table");
+            }
             value = uint64_t(reinterpret_cast<uintptr_t>(code_table)) +
                     reloc.addend;
             break;

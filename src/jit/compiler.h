@@ -135,14 +135,19 @@ bool jitSupported();
 void serializeCode(const CompiledCode& code, wasm::ByteWriter& w);
 
 /**
- * Rebuild an artifact in this process: map fresh executable memory, copy
- * the code, patch the relocation sites against this process's glue
+ * Rebuild a module artifact in this process: map fresh executable memory,
+ * copy the code, patch the relocation sites against this process's glue
  * symbols / @p code_table / the new buffer base, flip to RX and
- * re-register with the code registry. @p code_table may be null only for
+ * re-register with the code registry. @p code_table has one slot per
+ * function (@p num_imports + @p num_defined) and may be null only for
  * artifacts that recorded no codeTable relocations (directJitCalls).
+ * An artifact whose entry/thunk tables do not match those counts, or
+ * whose offsets and relocations point outside the code or the table,
+ * is rejected with an error.
  */
 Result<std::unique_ptr<CompiledCode>>
-deserializeCode(wasm::ByteReader& r, exec::FuncCode* code_table);
+deserializeCode(wasm::ByteReader& r, exec::FuncCode* code_table,
+                uint32_t num_imports, uint32_t num_defined);
 
 } // namespace lnb::jit
 

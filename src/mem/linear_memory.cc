@@ -35,9 +35,6 @@ struct MemMetrics
         "mem.resize_syscalls");
     obs::Counter growFailures = obs::registerCounter(
         "mem.grow_failures");
-    obs::Counter resetCalls = obs::registerCounter("mem.reset_calls");
-    obs::Counter resetSyscalls = obs::registerCounter(
-        "mem.reset_syscalls");
     /** Shared-memory grow traffic (threads subsystem, DESIGN.md §12). */
     obs::Counter sharedGrowCalls = obs::registerCounter(
         "mem.shared_grow_calls");
@@ -45,8 +42,6 @@ struct MemMetrics
         "mem.shared_grow_contended");
     obs::Histogram growLatency = obs::registerHistogram(
         "mem.grow_ns");
-    obs::Histogram resetLatency = obs::registerHistogram(
-        "mem.reset_ns");
     /** Snapshot/restore protocol traffic (DESIGN.md §14). */
     obs::Counter snapshotCaptures = obs::registerCounter(
         "mem.snapshot_captures");
@@ -54,6 +49,10 @@ struct MemMetrics
         "mem.snapshot_adopts");
     obs::Counter restoreCalls = obs::registerCounter(
         "mem.restore_calls");
+    /** Syscalls issued rewinding memories to their base image
+     * (restore, and the tail of a template adoption). */
+    obs::Counter restoreSyscalls = obs::registerCounter(
+        "mem.restore_syscalls");
     obs::Histogram restoreLatency = obs::registerHistogram(
         "mem.restore_ns");
 };
@@ -351,80 +350,66 @@ LinearMemory::grow(uint32_t delta_pages)
 }
 
 Status
-LinearMemory::reset()
+LinearMemory::rewindLocked(uint64_t base)
 {
-    LNB_TRACE_SCOPE("mem.reset");
-    if (config_.shared) {
-        // MADV_DONTNEED does not zero MAP_SHARED shmem pages, and the
-        // reset contract (no thread executing against the memory) cannot
-        // be asserted for a memory whose whole point is concurrent use.
-        return errUnsupported("shared memories cannot be reset");
-    }
-    obs::ScopedLatency latency(memMetrics().resetLatency);
-    memMetrics().resetCalls.add();
-    std::lock_guard<std::mutex> lock(growMutex_);
     uint64_t high = highWaterBytes_;
     uint64_t syscalls = 0;
-
-    switch (arenaKind_) {
-      case ArenaKind::flat:
-        // `none` allows silent out-of-bounds stores anywhere in the
-        // reservation and clamp redirects into the red zone past the max
-        // size, so the zap must cover the whole mapping, not just the
-        // high-water prefix. MADV_DONTNEED walks only resident ranges.
-        if (madvise(base_, reserveBytes_, MADV_DONTNEED) != 0)
-            return errResource("reset madvise failed");
-        syscalls = 1;
-        break;
-
-      case ArenaKind::guard:
-        // Revoke the grown range first so a racing stray access can at
-        // worst observe zeroed-but-accessible pages below the initial
-        // size, never stale data.
-        if (high > initialBytes_) {
-            if (mprotect(base_ + initialBytes_, high - initialBytes_,
-                         PROT_NONE) != 0) {
-                return errResource("reset re-protect failed");
-            }
-            syscalls++;
-        }
-        if (high != 0) {
-            if (madvise(base_, high, MADV_DONTNEED) != 0)
-                return errResource("reset madvise failed");
-            syscalls++;
-        }
-        break;
-
-      case ArenaKind::uffd_real:
-        // The userfaultfd registration is per-VMA and survives
-        // MADV_DONTNEED: zapped pages go back to "missing" and the next
-        // access below bounds repopulates through the fault handler.
-        if (high != 0) {
-            if (madvise(base_, high, MADV_DONTNEED) != 0)
-                return errResource("reset madvise failed");
-            syscalls++;
-        }
-        break;
-
-      case ArenaKind::uffd_emu:
+    // Protection first, so a racing stray access can at worst observe
+    // zeroed-but-accessible pages below the base, never stale data.
+    if (arenaKind_ == ArenaKind::guard && high > base) {
+        if (mprotect(base_ + base, high - base, PROT_NONE) != 0)
+            return errResource("restore re-protect failed");
+        syscalls++;
+    }
+    if (arenaKind_ == ArenaKind::uffd_emu && high != 0) {
         // The fault handler granted RW page by page below the bounds
         // word; one range-wide mprotect revokes every grant.
-        if (high != 0) {
-            if (mprotect(base_, high, PROT_NONE) != 0)
-                return errResource("reset re-protect failed");
-            if (madvise(base_, high, MADV_DONTNEED) != 0)
-                return errResource("reset madvise failed");
-            syscalls += 2;
-        }
-        break;
+        if (mprotect(base_, high, PROT_NONE) != 0)
+            return errResource("restore re-protect failed");
+        syscalls++;
     }
-
+    // MADV_DONTNEED drops private CoW copies of template pages (the next
+    // access reads the memfd again), zeroes anonymous pages, and leaves
+    // the userfaultfd registration in place so zapped pages fault as
+    // missing again. `none` lets out-of-bounds stores land anywhere in
+    // the flat reservation and clamp redirects them into the red zone
+    // past the max size, so flat backings zap the whole mapping; the
+    // kernel walks only resident ranges.
+    uint64_t zap = arenaKind_ == ArenaKind::flat ? reserveBytes_ : high;
+    if (zap != 0) {
+        if (madvise(base_, size_t(zap), MADV_DONTNEED) != 0)
+            return errResource("restore madvise failed");
+        syscalls++;
+    }
+    memMetrics().restoreSyscalls.add(syscalls);
     if (arena_ != nullptr)
-        arena_->bounds.store(initialBytes_, std::memory_order_release);
-    sizeBytes_.store(initialBytes_, std::memory_order_release);
-    highWaterBytes_ = initialBytes_;
-    memMetrics().resetSyscalls.add(syscalls);
+        arena_->bounds.store(base, std::memory_order_release);
+    sizeBytes_.store(base, std::memory_order_release);
+    highWaterBytes_ = base;
     return Status::ok();
+}
+
+Status
+LinearMemory::restore(bool* grew_past_base)
+{
+    LNB_TRACE_SCOPE("mem.restore");
+    if (grew_past_base != nullptr)
+        *grew_past_base = false;
+    if (config_.shared) {
+        // MADV_DONTNEED does not zero MAP_SHARED shmem pages, and the
+        // restore contract (no thread executing against the memory)
+        // cannot be asserted for a memory whose whole point is
+        // concurrent use.
+        return errUnsupported("shared memories cannot be restored");
+    }
+    obs::ScopedLatency latency(memMetrics().restoreLatency);
+    memMetrics().restoreCalls.add();
+    std::lock_guard<std::mutex> lock(growMutex_);
+    uint64_t base =
+        snapshot_ != nullptr ? snapshot_->sizeBytes() : initialBytes_;
+    if (grew_past_base != nullptr)
+        *grew_past_base = highWaterBytes_ > base;
+    return rewindLocked(base);
 }
 
 Result<std::shared_ptr<MemorySnapshot>>
@@ -451,25 +436,26 @@ LinearMemory::snapshot()
         std::shared_ptr<MemorySnapshot>(new MemorySnapshot(fd, size));
     if (ftruncate(fd, off_t(size)) != 0)
         return errResource("snapshot ftruncate failed");
-    // For uffd_real, fault-populate every page below bounds from user
-    // space before the pwrite: kernel-side access (copy_from_user)
-    // reports EFAULT for missing registered pages instead of raising
-    // the SIGBUS the fault handler resolves.
-    if (arenaKind_ == ArenaKind::uffd_real) {
-        for (uint64_t o = 0; o < size; o += wasm::kPageSize) {
-            volatile uint8_t byte = base_[o];
-            (void)byte;
-        }
-    }
+    // The kernel's copy stops with EFAULT at a real-uffd page that is
+    // still missing (copy_from_user gets no SIGBUS for the fault handler
+    // to resolve). A missing page has never been written since the last
+    // zap, so it reads as zero: leave it a hole in the memfd (holes read
+    // as zero too) and carry on at the next OS page.
+    const uint64_t os_page = uint64_t(sysconf(_SC_PAGESIZE));
     uint64_t off = 0;
     while (off < size) {
         ssize_t n =
             pwrite(fd, base_ + off, size_t(size - off), off_t(off));
-        if (n < 0 && errno == EINTR)
+        if (n > 0) {
+            off += uint64_t(n);
+        } else if (n < 0 && errno == EINTR) {
             continue;
-        if (n <= 0)
+        } else if (n < 0 && errno == EFAULT &&
+                   arenaKind_ == ArenaKind::uffd_real) {
+            off = (off / os_page + 1) * os_page;
+        } else {
             return errResource("snapshot pwrite failed");
-        off += uint64_t(n);
+        }
     }
     memMetrics().snapshotCaptures.add();
     return snap;
@@ -500,81 +486,11 @@ LinearMemory::adoptSnapshot(std::shared_ptr<MemorySnapshot> snap)
     if (p == MAP_FAILED)
         return errResource("template mmap failed");
     memMetrics().mmapCalls.add();
-    // If this memory had grown past the template before adopting it,
-    // bring the tail back to the freshly-restored contract.
-    uint64_t high = highWaterBytes_;
-    if (high > tmpl) {
-        if (arenaKind_ == ArenaKind::guard &&
-            mprotect(base_ + tmpl, high - tmpl, PROT_NONE) != 0) {
-            return errResource("template re-protect failed");
-        }
-        if (madvise(base_ + tmpl, high - tmpl, MADV_DONTNEED) != 0)
-            return errResource("template madvise failed");
-    }
-    if (arena_ != nullptr)
-        arena_->bounds.store(tmpl, std::memory_order_release);
-    sizeBytes_.store(tmpl, std::memory_order_release);
-    highWaterBytes_ = tmpl;
+    // Anything this memory held past the template (it had grown before
+    // adopting) is rewound exactly as restore() would.
+    LNB_RETURN_IF_ERROR(rewindLocked(tmpl));
     snapshot_ = std::move(snap);
     memMetrics().snapshotAdopts.add();
-    return Status::ok();
-}
-
-Status
-LinearMemory::restoreFromSnapshot(bool* grew_past_template)
-{
-    LNB_TRACE_SCOPE("mem.restore");
-    if (grew_past_template != nullptr)
-        *grew_past_template = false;
-    if (snapshot_ == nullptr)
-        return errInvalid("no template adopted");
-    obs::ScopedLatency latency(memMetrics().restoreLatency);
-    memMetrics().restoreCalls.add();
-    std::lock_guard<std::mutex> lock(growMutex_);
-    uint64_t tmpl = snapshot_->sizeBytes();
-    uint64_t high = highWaterBytes_;
-    uint64_t syscalls = 1;
-
-    // Revert every page dirtied since the last restore: MADV_DONTNEED on
-    // a MAP_PRIVATE file-backed mapping drops the CoW copies, so the next
-    // access reads the template again. Cost scales with dirtied pages,
-    // not the template size — this is the whole point of the protocol.
-    if (madvise(base_, size_t(tmpl), MADV_DONTNEED) != 0)
-        return errResource("restore madvise failed");
-
-    if (high > tmpl) {
-        // The instance grew past the template; the extra range is
-        // anonymous memory that must read as zero (and, for guard, trap)
-        // after restore. Callers surface this as rt.snapshot_invalidations.
-        if (grew_past_template != nullptr)
-            *grew_past_template = true;
-        if (arenaKind_ == ArenaKind::guard) {
-            if (mprotect(base_ + tmpl, high - tmpl, PROT_NONE) != 0)
-                return errResource("restore re-protect failed");
-            syscalls++;
-        }
-        if (madvise(base_ + tmpl, high - tmpl, MADV_DONTNEED) != 0)
-            return errResource("restore madvise failed");
-        syscalls++;
-    }
-    // clamp redirects out-of-bounds stores into the red-zone page past
-    // the max size; re-zero it so a recycled instance cannot observe a
-    // predecessor's clamped stores. (Under `none`, residue elsewhere in
-    // the flat reservation is explicitly out of contract — the absence
-    // of isolation is that strategy's defining property.)
-    if (config_.strategy == BoundsStrategy::clamp) {
-        if (madvise(base_ + clampOffset_, wasm::kPageSize,
-                    MADV_DONTNEED) != 0) {
-            return errResource("restore red-zone madvise failed");
-        }
-        syscalls++;
-    }
-
-    if (arena_ != nullptr)
-        arena_->bounds.store(tmpl, std::memory_order_release);
-    sizeBytes_.store(tmpl, std::memory_order_release);
-    highWaterBytes_ = tmpl;
-    memMetrics().resetSyscalls.add(syscalls);
     return Status::ok();
 }
 

@@ -81,7 +81,7 @@ struct MemoryConfig
      * backings switch to MAP_SHARED shmem mappings, `grow` becomes safe
      * against concurrent growers and in-flight accesses (guard/uffd
      * re-protection completes before the bounds word is published), and
-     * `reset` is refused — MADV_DONTNEED does not zero shmem and pools
+     * `restore` is refused — MADV_DONTNEED does not zero shmem and pools
      * never recycle shared memories. Requires limits with a maximum.
      */
     bool shared = false;
@@ -163,27 +163,32 @@ class LinearMemory
     int64_t grow(uint32_t delta_pages);
 
     /**
-     * Instance-recycling fast path: return the memory to its
-     * freshly-created state (initial size, all bytes zero) without the
-     * munmap/mmap cycle a destroy-and-recreate pays — the virtual-memory
-     * cost the paper identifies as the dominant term of the mprotect
-     * strategy's instantiation path.
+     * Instance-recycling path: return the memory to its base image
+     * without the munmap/mmap cycle a destroy-and-recreate pays — the
+     * virtual-memory cost the paper identifies as the dominant term of
+     * the mprotect strategy's instantiation path. The base image is the
+     * adopted template when there is one (size and contents as `start`
+     * left them, DESIGN.md §14), otherwise the freshly-created memory
+     * (initial size, all bytes zero).
      *
-     * Mechanism per backing kind:
-     *  - flat (none/clamp/trap): madvise(MADV_DONTNEED) over the whole
-     *    mapping — anonymous private pages read as zero afterwards; cost
-     *    scales with resident pages, not the reservation;
-     *  - guard (mprotect): re-protect pages beyond the initial size back
-     *    to PROT_NONE, then MADV_DONTNEED the touched prefix;
-     *  - uffd (real): MADV_DONTNEED re-arms missing-page faults on the
-     *    registered range, so the next access repopulates lazily;
-     *  - uffd (emulated): revoke the page-granular grants with one
-     *    mprotect(PROT_NONE), then MADV_DONTNEED.
+     * One mechanism for every backing: the range past the base first
+     * gets its fresh protection back (guard: PROT_NONE; uffd emulation:
+     * every page grant revoked), then one MADV_DONTNEED drops every
+     * dirtied page — template pages revert to the memfd contents,
+     * anonymous pages read as zero, and real-uffd pages re-arm their
+     * missing faults. Flat backings zap the whole reservation, since
+     * `none` lets out-of-bounds stores land anywhere in it and clamp
+     * redirects them into the red zone; the others zap up to the
+     * high-water mark. Cost scales with resident pages, not the
+     * reservation.
      *
-     * The caller must guarantee no thread is executing against this
-     * memory (same contract as the destructor).
+     * @p grew_past_base (optional) reports that the memory had grown
+     * past the base since the last restore. Refused for shared memories:
+     * MADV_DONTNEED does not zero shmem, and other threads may still be
+     * executing. The caller must guarantee no thread is executing
+     * against this memory (same contract as the destructor).
      */
-    Status reset();
+    Status restore(bool* grew_past_base = nullptr);
 
     // ----- snapshot/restore protocol (DESIGN.md §14) -----
     /**
@@ -191,43 +196,25 @@ class LinearMemory
      * Refused (errUnsupported) for shared memories (another thread may
      * be writing), the uffd emulation (its page-granular mprotect
      * grants don't compose with a file-backed mapping), and empty
-     * memories. The capture reads every page below the bounds word —
-     * for uffd backings that populates them through the fault handler,
-     * which is exactly the state the template should hold.
+     * memories. Real-uffd pages that are still missing are never
+     * faulted in: they read as zero and stay holes in the template.
      */
     Result<std::shared_ptr<MemorySnapshot>> snapshot();
 
     /**
-     * Install @p snap as this memory's restore template: one
+     * Install @p snap as this memory's base image: one
      * MAP_FIXED | MAP_PRIVATE mapping of the template file over
      * [0, snap->sizeBytes()), after which the memory's contents and
      * size equal the captured post-`start` state — data segments and
-     * `start` effects included, without running either. guard keeps its
-     * PROT_NONE tail beyond the template; uffd keeps its MISSING
-     * registration there (the replaced range needs no faults — every
-     * template byte is below bounds by construction).
+     * `start` effects included, without running either. Anything the
+     * memory held past the template is rewound exactly as restore()
+     * does: guard keeps its PROT_NONE tail, uffd its MISSING
+     * registration (the replaced range needs no faults — every template
+     * byte is below bounds by construction).
      */
     Status adoptSnapshot(std::shared_ptr<MemorySnapshot> snap);
 
-    /**
-     * Recycle fast path once a template is adopted: revert every page
-     * dirtied since the last restore to the template contents with one
-     * MADV_DONTNEED over the template range — O(dirtied pages), no
-     * re-run of data segments. Pages beyond the template (the instance
-     * grew past it) are zapped and re-protected per backing kind;
-     * @p grew_past_template (optional) reports that the extra work
-     * happened (surfaced as rt.snapshot_invalidations). The clamp red
-     * zone is re-zeroed; under `none`, out-of-bounds residue elsewhere
-     * in the flat reservation is explicitly out of contract (that
-     * strategy's defining property is the absence of isolation).
-     */
-    Status restoreFromSnapshot(bool* grew_past_template = nullptr);
-
     bool hasSnapshot() const { return snapshot_ != nullptr; }
-    const std::shared_ptr<MemorySnapshot>& adoptedSnapshot() const
-    {
-        return snapshot_;
-    }
 
     /** Byte offset of the always-mapped red zone (clamp strategy target). */
     uint64_t clampOffset() const { return clampOffset_; }
@@ -260,13 +247,18 @@ class LinearMemory
   private:
     LinearMemory() = default;
 
+    /** The tail restore() and adoptSnapshot() share, with growMutex_
+     * held: re-protect past @p base, one MADV_DONTNEED, then size and
+     * high-water back to @p base. */
+    Status rewindLocked(uint64_t base);
+
     uint8_t* base_ = nullptr;
     uint64_t reserveBytes_ = 0;
     std::atomic<uint64_t> sizeBytes_{0};
-    /** Size at creation; reset() returns to this. */
+    /** Size at creation; restore() returns to this without a template. */
     uint64_t initialBytes_ = 0;
-    /** Largest size ever reached (guarded by growMutex_): the extent
-     * reset() must zap and re-protect. */
+    /** Largest size reached since the last rewind (guarded by
+     * growMutex_): the extent restore() must zap and re-protect. */
     uint64_t highWaterBytes_ = 0;
     uint32_t maxPages_ = 0;
     uint64_t clampOffset_ = 0;
@@ -274,7 +266,7 @@ class LinearMemory
     ArenaKind arenaKind_ = ArenaKind::flat;
     ArenaInfo* arena_ = nullptr;
     int uffdFd_ = -1;
-    /** Adopted restore template; null until adoptSnapshot(). */
+    /** Adopted base image; null until adoptSnapshot(). */
     std::shared_ptr<MemorySnapshot> snapshot_;
     std::mutex growMutex_;
     std::atomic<uint64_t> resizeSyscalls_{0};

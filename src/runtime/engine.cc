@@ -394,7 +394,10 @@ deserializeCompiledModule(const uint8_t* data, size_t size)
             return errUnsupported("this CPU lacks the JIT's ISA baseline");
         exec::FuncCode* table =
             config.directJitCalls ? nullptr : cm->funcCode_.get();
-        LNB_ASSIGN_OR_RETURN(cm->jitCode_, jit::deserializeCode(r, table));
+        LNB_ASSIGN_OR_RETURN(
+            cm->jitCode_,
+            jit::deserializeCode(r, table, m.numImportedFuncs(),
+                                 uint32_t(cm->lowered_.funcs.size())));
         cm->stats_.codeBytes = cm->jitCode_->codeBytes();
         for (uint32_t i = m.numImportedFuncs(); i < cm->numFuncs_; i++) {
             cm->funcCode_[i].entry.store(cm->jitCode_->entry(i),

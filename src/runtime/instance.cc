@@ -87,16 +87,6 @@ threadStackLimit()
     return cached;
 }
 
-/** LNB_SNAPSHOT=0 disables the snapshot/restore instantiation path and
- * keeps the legacy madvise-zap + re-run-segments recycle. Not part of
- * the code-cache fingerprint: it changes instantiation, not codegen. */
-bool
-snapshotEnabled()
-{
-    static const bool enabled = envInt("LNB_SNAPSHOT", 1, 0, 1) != 0;
-    return enabled;
-}
-
 } // namespace
 
 const ImportMap::Entry*
@@ -232,8 +222,8 @@ Instance::initialize(ImportMap imports,
     // this instance, and nothing has refused capture before. The restore
     // path maps the module's CoW template over the fresh reservation and
     // copies globals/table wholesale — no data segments, no start run.
-    bool want_snapshot = snapshotEnabled() && memory_ != nullptr &&
-                         !externalMemory_ && !ctx_.sharedMem &&
+    bool want_snapshot = memory_ != nullptr && !externalMemory_ &&
+                         !ctx_.sharedMem &&
                          module_->startIsPure() &&
                          !module_->snapshotRefused();
     if (want_snapshot) {
@@ -360,8 +350,9 @@ Instance::captureSnapshot()
     state->table = table_;
     module_->publishSnapshot(std::move(state));
     // Adopt whatever the module published (ours, or a racing winner's) so
-    // this instance's recycle() takes the restore path too. Best-effort:
-    // on failure the legacy reset path still works.
+    // this instance's recycle() restores to the template too. Best-effort:
+    // without it, restore() falls back to the zeroed initial memory and
+    // recycle() re-runs segments and start.
     if (const SnapshotState* snap = module_->snapshot())
         (void)memory_->adoptSnapshot(snap->memory);
 }
@@ -371,33 +362,28 @@ Instance::recycle()
 {
     LNB_TRACE_SCOPE("rt.recycle");
     rtMetrics().instancesRecycled.add();
-    if (memory_ != nullptr && memory_->shared()) {
-        // reset() would refuse anyway (MADV_DONTNEED does not zero a
-        // shared mapping); refuse up front with the real reason.
-        return errUnsupported("shared-memory instances cannot be recycled");
-    }
-    // Snapshot fast path: one MADV_DONTNEED reverts dirtied pages to the
-    // template, then globals/table are copied back — no data segments,
-    // no start re-run (DESIGN.md §14).
-    if (snapshotEnabled() && memory_ != nullptr && memory_->hasSnapshot()) {
-        if (const SnapshotState* snap = module_->snapshot()) {
-            bool grew = false;
-            LNB_RETURN_IF_ERROR(memory_->restoreFromSnapshot(&grew));
+    // One restore for every strategy (refused for shared memories). With
+    // an adopted template the memory comes back as `start` left it and
+    // globals/table are copied back wholesale (DESIGN.md §14); without
+    // one it comes back zeroed and the mutable state is re-initialized.
+    const SnapshotState* snap = nullptr;
+    if (memory_ != nullptr) {
+        bool grew = false;
+        LNB_RETURN_IF_ERROR(memory_->restore(&grew));
+        // memBase is stable (same reservation); only the size mirror
+        // changes.
+        ctx_.memSize = memory_->sizeBytes();
+        if (memory_->hasSnapshot()) {
+            snap = module_->snapshot();
             if (grew)
                 rtMetrics().snapshotInvalidations.add();
-            // memBase is stable (same reservation); only the size mirror
-            // changes.
-            ctx_.memSize = memory_->sizeBytes();
-            LNB_RETURN_IF_ERROR(applySnapshotState(*snap));
-            rtMetrics().snapshotRestores.add();
-            return Status::ok();
         }
     }
-    if (memory_ != nullptr) {
-        LNB_RETURN_IF_ERROR(memory_->reset());
-        ctx_.memSize = memory_->sizeBytes();
-    }
-    return initMutableState();
+    if (snap == nullptr)
+        return initMutableState();
+    LNB_RETURN_IF_ERROR(applySnapshotState(*snap));
+    rtMetrics().snapshotRestores.add();
+    return Status::ok();
 }
 
 void

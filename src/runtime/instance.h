@@ -90,12 +90,16 @@ class Instance
 
     /**
      * Return this instance to its freshly-instantiated state without
-     * tearing down its memory reservation: linear memory is reset through
-     * LinearMemory::reset() (zeroed, back to initial size), globals and
-     * tables are re-initialized, data segments re-applied and the start
-     * function re-run. This is the instance-pool recycling path (src/svc):
-     * it must be observably equivalent to Instance::create() on the same
-     * CompiledModule, minus the mmap/munmap cycle.
+     * tearing down its memory reservation: linear memory goes back to
+     * its base image through LinearMemory::restore(). With an adopted
+     * snapshot template that image is the post-`start` state and the
+     * template's globals and table are copied back; without one memory
+     * is zeroed at its initial size, globals and tables are
+     * re-initialized, data segments re-applied and the start function
+     * re-run. This is the instance-pool recycling path (src/svc): it
+     * must be observably equivalent to Instance::create() on the same
+     * CompiledModule, minus the mmap/munmap cycle. Refused for shared
+     * memories.
      *
      * On error the instance is left in an unspecified state and must be
      * destroyed, not reused.
@@ -180,7 +184,7 @@ class Instance
     Status applySnapshotState(const SnapshotState& snap);
     /** Capture this freshly initialized instance's state as the module's
      * snapshot template (first caller wins) and adopt it so recycle()
-     * takes the restore path. Refusals are recorded on the module and
+     * restores to it. Refusals are recorded on the module and
      * are not errors. */
     void captureSnapshot();
 

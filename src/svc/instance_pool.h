@@ -4,13 +4,13 @@
  *
  * One pool serves one CompiledModule (which pins one engine × strategy).
  * Released instances are recycled in place (Instance::recycle(), backed by
- * LinearMemory::reset()) and parked; a warm acquire therefore skips the
+ * LinearMemory::restore()) and parked; a warm acquire therefore skips the
  * multi-GiB mmap reservation, the arena-registry churn and the value-stack
  * allocation that a cold Instance::create() pays — exactly the
  * virtual-memory cost the paper attributes to per-request instantiation
  * under the mprotect strategy.
  *
- * Recycling happens on release(), not acquire(), so the reset cost sits on
+ * Recycling happens on release(), not acquire(), so the restore cost sits on
  * the requester that is done, never on the latency path of the next one.
  */
 #ifndef LNB_SVC_INSTANCE_POOL_H

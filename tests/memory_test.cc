@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <thread>
 
 #include "mem/arena_registry.h"
@@ -161,6 +162,21 @@ TEST(GuardMemory, UffdPopulatesBelowBoundsTrapsAbove)
     EXPECT_EQ(after, wasm::TrapKind::none);
 }
 
+/** The uffd strategy takes the kernel path whenever the probe finds it.
+ * Also prints which backing this host gives, so a CI log shows whether
+ * the uffd tests exercised real userfaultfd or the emulation. */
+TEST(GuardMemory, UffdBackingMatchesProbe)
+{
+    MemoryConfig config;
+    config.strategy = BoundsStrategy::uffd;
+    auto memory = LinearMemory::create(Limits{1, 2}, config).takeValue();
+    EXPECT_EQ(memory->arenaKind(), realUffdAvailable()
+                                       ? ArenaKind::uffd_real
+                                       : ArenaKind::uffd_emu);
+    std::printf("uffd backing: %s\n",
+                realUffdAvailable() ? "kernel userfaultfd" : "emulation");
+}
+
 TEST(GuardMemory, MprotectGrowCountsSyscalls)
 {
     MemoryConfig config;
@@ -183,6 +199,154 @@ TEST(GuardMemory, ClampOffsetInsideReservation)
     EXPECT_EQ(memory->clampOffset(), 16 * kPageSize);
     memory->base()[memory->clampOffset()] = 77;
     EXPECT_EQ(memory->base()[memory->clampOffset()], 77);
+}
+
+// ---------------------------------------------------------------------
+// restore(): one rewind path for every backing, with or without a
+// template
+// ---------------------------------------------------------------------
+
+struct RestoreVariant
+{
+    const char* name;
+    BoundsStrategy strategy;
+    bool emulate;
+};
+
+void
+PrintTo(const RestoreVariant& variant, std::ostream* os)
+{
+    *os << variant.name;
+}
+
+class MemoryRestoreTest : public testing::TestWithParam<RestoreVariant>
+{
+  protected:
+    /** Dirty, grow and scribble out of bounds, restore, then demand the
+     * base image back: template bytes (or zeros) below the base, size
+     * at the base, a trapping (guard) or zero (flat) tail, and no
+     * residue anywhere a strategy lets stray stores land. */
+    void
+    exercise(bool with_template)
+    {
+        MemoryConfig config;
+        config.strategy = GetParam().strategy;
+        config.forceUffdEmulation = GetParam().emulate;
+        auto created = LinearMemory::create(Limits{1, 4}, config);
+        ASSERT_TRUE(created.isOk()) << created.status().toString();
+        auto memory = created.takeValue();
+        uint8_t* base = memory->base();
+        const bool flat = memory->arenaKind() == ArenaKind::flat;
+
+        ASSERT_EQ(TrapManager::protect([&] {
+                      base[100] = 0xab;
+                      base[kPageSize - 1] = 0xcd;
+                  }),
+                  wasm::TrapKind::none);
+        if (with_template) {
+            auto snap = memory->snapshot();
+            if (memory->arenaKind() == ArenaKind::uffd_emu) {
+                ASSERT_FALSE(snap.isOk());
+                EXPECT_EQ(snap.status().code(), StatusCode::unsupported);
+                return;
+            }
+            ASSERT_TRUE(snap.isOk()) << snap.status().toString();
+            ASSERT_TRUE(memory->adoptSnapshot(snap.takeValue()).isOk());
+        }
+        const uint8_t tmpl_100 = with_template ? 0xab : 0;
+        const uint8_t tmpl_last = with_template ? 0xcd : 0;
+
+        // Dirty the base, grow, dirty the grown tail, and (flat only)
+        // store above the high-water mark and into the red zone the way
+        // `none` and clamp executors let out-of-bounds stores land.
+        ASSERT_EQ(memory->grow(2), 1);
+        ASSERT_EQ(TrapManager::protect([&] {
+                      base[100] = 0x11;
+                      base[200] = 0x22;
+                      base[2 * kPageSize + 5] = 0x33;
+                  }),
+                  wasm::TrapKind::none);
+        if (flat) {
+            base[3 * kPageSize + 8] = 0x44;
+            base[memory->clampOffset()] = 0x55;
+        }
+
+        bool grew = false;
+        ASSERT_TRUE(memory->restore(&grew).isOk());
+        EXPECT_TRUE(grew);
+        EXPECT_EQ(memory->sizeBytes(), kPageSize);
+        EXPECT_EQ(TrapManager::protect([&] {
+                      EXPECT_EQ(base[100], tmpl_100);
+                      EXPECT_EQ(base[200], 0);
+                      EXPECT_EQ(base[kPageSize - 1], tmpl_last);
+                  }),
+                  wasm::TrapKind::none);
+
+        // The grown tail is gone: it traps under the guard-page
+        // strategies and reads zero on flat backings.
+        wasm::TrapKind tail = TrapManager::protect([&] {
+            volatile uint8_t v = base[2 * kPageSize + 5];
+            EXPECT_EQ(v, 0);
+        });
+        EXPECT_EQ(tail, flat ? wasm::TrapKind::none
+                             : wasm::TrapKind::out_of_bounds_memory);
+        if (flat) {
+            EXPECT_EQ(base[memory->clampOffset()], 0) << "red zone";
+        }
+
+        // Re-growing to the maximum exposes zeroed pages only: no
+        // grown-tail bytes and no residue from above the high-water
+        // mark.
+        ASSERT_EQ(memory->grow(3), 1);
+        EXPECT_EQ(TrapManager::protect([&] {
+                      EXPECT_EQ(base[2 * kPageSize + 5], 0);
+                      EXPECT_EQ(base[3 * kPageSize + 8], 0);
+                  }),
+                  wasm::TrapKind::none);
+
+        // A second round restores the same image (the template mapping
+        // and the rewound protections survive a restore).
+        ASSERT_TRUE(memory->restore().isOk());
+        EXPECT_EQ(memory->sizeBytes(), kPageSize);
+        EXPECT_EQ(TrapManager::protect(
+                      [&] { EXPECT_EQ(base[100], tmpl_100); }),
+                  wasm::TrapKind::none);
+    }
+};
+
+TEST_P(MemoryRestoreTest, WithoutTemplateRestoresZeroedInitialMemory)
+{
+    exercise(/*with_template=*/false);
+}
+
+TEST_P(MemoryRestoreTest, WithTemplateRestoresTemplate)
+{
+    exercise(/*with_template=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackings, MemoryRestoreTest,
+    testing::Values(RestoreVariant{"none", BoundsStrategy::none, false},
+                    RestoreVariant{"clamp", BoundsStrategy::clamp, false},
+                    RestoreVariant{"trap", BoundsStrategy::trap, false},
+                    RestoreVariant{"mprotect", BoundsStrategy::mprotect,
+                                   false},
+                    RestoreVariant{"uffd", BoundsStrategy::uffd, false},
+                    RestoreVariant{"uffd_emu", BoundsStrategy::uffd,
+                                   true}),
+    [](const testing::TestParamInfo<RestoreVariant>& info) {
+        return std::string(info.param.name);
+    });
+
+TEST(MemoryRestore, SharedMemoryIsRefused)
+{
+    MemoryConfig config;
+    config.strategy = BoundsStrategy::trap;
+    config.shared = true;
+    auto memory = LinearMemory::create(Limits{1, 2}, config).takeValue();
+    Status status = memory->restore();
+    EXPECT_FALSE(status.isOk());
+    EXPECT_EQ(status.code(), StatusCode::unsupported);
 }
 
 // ---------------------------------------------------------------------

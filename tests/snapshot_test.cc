@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "jit/assembler.h"
+#include "jit/compiler.h"
 #include "mem/linear_memory.h"
 #include "runtime/engine.h"
 #include "runtime/instance.h"
@@ -30,6 +32,7 @@
 namespace lnb {
 namespace {
 
+using jit::RelocKind;
 using mem::BoundsStrategy;
 using rt::CallOutcome;
 using rt::Engine;
@@ -191,6 +194,13 @@ TEST(Snapshot, RestoredBitExactAcrossStrategiesAndEngines)
             auto b = Instance::create(cm);
             ASSERT_TRUE(b.isOk()) << b.status().toString();
             expectBitExact(*a.value(), *b.value(), "fresh vs restored");
+            // Every backing but the uffd emulation captures a template
+            // (the emulation's own test covers the refusal).
+            if (config.strategy != BoundsStrategy::uffd ||
+                mem::realUffdAvailable()) {
+                EXPECT_TRUE(a.value()->memory()->hasSnapshot());
+                EXPECT_TRUE(b.value()->memory()->hasSnapshot());
+            }
 
             // Post-start state must be present either way.
             EXPECT_EQ(callI32(*b.value(), "peek", {Value::fromI32(128)}),
@@ -218,9 +228,10 @@ TEST(Snapshot, RestoredBitExactAcrossStrategiesAndEngines)
 TEST(Snapshot, GrowPastTemplateIsInvalidatedOnRecycle)
 {
     TestModule tm = buildStateful();
-    for (BoundsStrategy s :
-         {BoundsStrategy::mprotect, BoundsStrategy::none,
-          BoundsStrategy::trap}) {
+    for (int si = 0; si < mem::kNumBoundsStrategies; si++) {
+        BoundsStrategy s = BoundsStrategy(si);
+        if (s == BoundsStrategy::uffd && !mem::realUffdAvailable())
+            continue; // the emulation never templates
         EngineConfig config;
         config.strategy = s;
         SCOPED_TRACE(mem::boundsStrategyName(s));
@@ -234,6 +245,7 @@ TEST(Snapshot, GrowPastTemplateIsInvalidatedOnRecycle)
         auto b = Instance::create(cm);
         ASSERT_TRUE(b.isOk()) << b.status().toString();
         Instance& inst = *b.value();
+        ASSERT_TRUE(inst.memory()->hasSnapshot());
 
         // Grow past the 2-page template and dirty the third page.
         EXPECT_EQ(callI32(inst, "grow", {Value::fromI32(1)}), 2);
@@ -290,7 +302,8 @@ TEST(Snapshot, UffdEmulationRefusesCaptureButStaysCorrect)
     auto b = Instance::create(cm);
     ASSERT_TRUE(b.isOk());
     EXPECT_FALSE(b.value()->memory()->hasSnapshot());
-    // Legacy recycle path still works and is still equivalent to fresh.
+    // Recycle without a template still works and is still equivalent
+    // to fresh.
     callVoid(*b.value(), "poke",
              {Value::fromI32(512), Value::fromI32(99)});
     ASSERT_TRUE(b.value()->recycle().isOk());
@@ -373,6 +386,112 @@ TEST(Serialize, TruncatedBlobIsRejected)
         auto reloaded = rt::deserializeCompiledModule(blob.data(), len);
         EXPECT_FALSE(reloaded.isOk()) << "len=" << len;
     }
+}
+
+/** The JIT code artifact is the last field of a serialized module; these
+ * mutations hit the tables whose values index memory directly. Each
+ * must come back as an error, not a crash on the first call. */
+TEST(Serialize, MutatedCodeArtifactIsRejected)
+{
+    // One import (a thunk) and one defined-to-defined call (a code-table
+    // relocation).
+    wasm::ModuleBuilder mb;
+    uint32_t void_t = mb.addType({}, {});
+    mb.addImport("env", "tick", void_t);
+    uint32_t i32_t = mb.addType({}, {ValType::i32});
+    auto& inner = mb.addFunction(i32_t);
+    inner.i32Const(41);
+    uint32_t inner_idx = inner.finish();
+    auto& outer = mb.addFunction(i32_t);
+    outer.call(inner_idx);
+    outer.i32Const(1);
+    outer.emit(Op::i32_add);
+    mb.exportFunc("outer", outer.finish());
+    std::vector<uint8_t> bytes = wasm::encodeModule(mb.build());
+
+    EngineConfig config;
+    config.kind = EngineKind::jit_base;
+    Engine engine(config);
+    auto compiled = engine.compileBytes(bytes);
+    ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+    auto cm = compiled.takeValue();
+    ASSERT_NE(cm->jitCode(), nullptr);
+
+    std::vector<uint8_t> blob = rt::serializeCompiledModule(*cm);
+    wasm::ByteWriter w;
+    jit::serializeCode(*cm->jitCode(), w);
+    const std::vector<uint8_t>& code = w.bytes();
+    ASSERT_GE(blob.size(), code.size());
+    const size_t at = blob.size() - code.size();
+    ASSERT_EQ(std::memcmp(blob.data() + at, code.data(), code.size()), 0);
+
+    // Locate each field by walking the artifact layout.
+    wasm::ByteReader r(code.data(), code.size());
+    const size_t imports_at = at + r.pos();
+    uint32_t num_imports = r.u32();
+    r.u32();
+    uint64_t used = r.u64();
+    const size_t entries_at = at + r.pos();
+    uint64_t num_entries = r.u64();
+    for (uint64_t i = 0; i < num_entries; i++)
+        r.u64();
+    const size_t thunks_at = at + r.pos();
+    uint64_t num_thunks = r.u64();
+    for (uint64_t i = 0; i < num_thunks; i++)
+        r.u64();
+    r.u8();
+    for (int i = 0; i < 4; i++)
+        r.podVec<uint32_t>();
+    uint64_t num_relocs = r.u64();
+    size_t table_reloc_at = 0;
+    for (uint64_t i = 0; i < num_relocs; i++) {
+        size_t here = at + r.pos();
+        r.u32();
+        if (RelocKind(r.u8()) == RelocKind::codeTable)
+            table_reloc_at = here;
+        r.u64();
+    }
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(num_imports, 1u);
+    ASSERT_EQ(num_entries, 2u);
+    ASSERT_EQ(num_thunks, 1u);
+    ASSERT_NE(table_reloc_at, 0u) << "no code-table relocation emitted";
+
+    auto put = [](std::vector<uint8_t>& b, size_t pos, auto value) {
+        std::memcpy(b.data() + pos, &value, sizeof value);
+    };
+    auto expect_rejected = [&](const char* what, auto mutate) {
+        std::vector<uint8_t> bad = blob;
+        mutate(bad);
+        auto reloaded = rt::deserializeCompiledModule(bad.data(), bad.size());
+        EXPECT_FALSE(reloaded.isOk()) << what;
+    };
+
+    ASSERT_TRUE(rt::deserializeCompiledModule(blob.data(), blob.size())
+                    .isOk());
+    expect_rejected("import count", [&](std::vector<uint8_t>& b) {
+        put(b, imports_at, num_imports + 1);
+    });
+    expect_rejected("entry offset past the code", [&](std::vector<uint8_t>& b) {
+        put(b, entries_at + 8, used + 64);
+    });
+    expect_rejected("entry table one short", [&](std::vector<uint8_t>& b) {
+        put(b, entries_at, num_entries - 1);
+        b.erase(b.begin() + long(entries_at + 8),
+                b.begin() + long(entries_at + 16));
+    });
+    expect_rejected("thunk table one long", [&](std::vector<uint8_t>& b) {
+        put(b, thunks_at, num_thunks + 1);
+        b.insert(b.begin() + long(thunks_at + 8), 8, uint8_t(0));
+    });
+    expect_rejected("relocation offset wraps", [&](std::vector<uint8_t>& b) {
+        put(b, table_reloc_at, uint32_t(0xfffffffc));
+    });
+    expect_rejected("code-table addend past the table",
+                    [&](std::vector<uint8_t>& b) {
+                        put(b, table_reloc_at + 5,
+                            uint64_t(3 * sizeof(exec::FuncCode)));
+                    });
 }
 
 class PersistCacheTest : public ::testing::Test
