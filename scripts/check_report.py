@@ -11,8 +11,9 @@ LNB_JSON_DIR and LNB_TRACE_FILE set, then validates that
 
 --svc mode drives a short open-loop load through the lnb_svc serving
 harness instead and validates the per-strategy lnb.bench_result.v1
-reports: request latencies present, and the svc.* cache/pool/scheduler
-counters bumped by the exercised paths. It then repeats the load with
+reports: request latencies present, the svc.* cache/pool/scheduler
+counters bumped by the exercised paths, and no failed snapshot capture
+(mem.snapshot_failures present and 0). It then repeats the load with
 --engine=tiered and validates the tier.* metrics and the report's tier
 block (requests/ups, the time-to-peak curve).
 
@@ -175,6 +176,12 @@ def check_svc_report(doc, path, strategies):
             fail(f"{path}: counter {name} missing or zero")
     if counters.get("svc.requests_trapped", 0) > 0:
         fail(f"{path}: requests trapped during smoke load")
+    # A failed template capture only shows here: each failure makes an
+    # instance cold-initialize and the next create retry the capture.
+    failures = counters.get("mem.snapshot_failures")
+    if failures != 0:
+        fail(f"{path}: counter mem.snapshot_failures missing or nonzero: "
+             f"{failures!r}")
 
     histograms = doc.get("histograms", {})
     for name in ("svc.request_ns", "svc.queue_wait_ns",

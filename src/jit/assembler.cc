@@ -429,6 +429,24 @@ Assembler::imulRR64(Reg dst, Reg src)
     modrmReg(dst, src);
 }
 
+void
+Assembler::imulRRI32(Reg dst, Reg src, int32_t imm)
+{
+    rex(false, dst, 0, src);
+    byte(0x69);
+    modrmReg(dst, src);
+    u32(uint32_t(imm));
+}
+
+void
+Assembler::imulRRI64(Reg dst, Reg src, int32_t imm)
+{
+    rex(true, dst, 0, src);
+    byte(0x69);
+    modrmReg(dst, src);
+    u32(uint32_t(imm));
+}
+
 void Assembler::cdq() { byte(0x99); }
 
 void

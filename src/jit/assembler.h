@@ -184,12 +184,16 @@ class Assembler
     void cmpRI32(Reg d, uint32_t i) { aluRI32(7, d, i); }
     void cmpRI64(Reg d, int32_t i) { aluRI64(7, d, i); }
 
+    void cmpRM32(Reg lhs, Mem rhs) { aluRM32(0x38, lhs, rhs); }
     void cmpRM64(Reg lhs, Mem rhs); ///< cmp reg, [mem]
     void testRR32(Reg a, Reg b);
     void testRR64(Reg a, Reg b);
 
     void imulRR32(Reg dst, Reg src);
     void imulRR64(Reg dst, Reg src);
+    /** imul dst, src, imm32 (69 /r id; the 64-bit form sign-extends). */
+    void imulRRI32(Reg dst, Reg src, int32_t imm);
+    void imulRRI64(Reg dst, Reg src, int32_t imm);
     void cdq();
     void cqo();
     void idiv32(Reg divisor);

@@ -139,30 +139,159 @@ synthBinop(uint16_t op, uint32_t a, uint32_t b)
     return binop;
 }
 
+/** x86 condition and width of a two-input integer compare; false for
+ * every other op (float compares keep their parity-aware sequences). */
+bool
+intCompare(Op op, bool& is64, Cond& cond)
+{
+    // Wasm orders both compare groups eq, ne, lt_s, lt_u, gt_s, gt_u,
+    // le_s, le_u, ge_s, ge_u.
+    static constexpr Cond kConds[10] = {Cond::e,  Cond::ne, Cond::l,
+                                        Cond::b,  Cond::g,  Cond::a,
+                                        Cond::le, Cond::be, Cond::ge,
+                                        Cond::ae};
+    if (op >= Op::i32_eq && op <= Op::i32_ge_u) {
+        is64 = false;
+        cond = kConds[int(op) - int(Op::i32_eq)];
+        return true;
+    }
+    if (op >= Op::i64_eq && op <= Op::i64_ge_u) {
+        is64 = true;
+        cond = kConds[int(op) - int(Op::i64_eq)];
+        return true;
+    }
+    return false;
+}
+
+Cond
+negate(Cond cond)
+{
+    return Cond(uint8_t(cond) ^ 1);
+}
+
+/**
+ * Opcode base of the x86 ALU group implementing an i32/i64 add, or,
+ * and, sub or xor (the `op r/m, r` / `op r, r/m` pair at base+1 /
+ * base+3), or -1. The `81 /ext` immediate form uses ext = base >> 3.
+ */
+int
+aluBase(Op op)
+{
+    switch (op) {
+      case Op::i32_add: case Op::i64_add: return 0x00;
+      case Op::i32_or: case Op::i64_or: return 0x08;
+      case Op::i32_and: case Op::i64_and: return 0x20;
+      case Op::i32_sub: case Op::i64_sub: return 0x28;
+      case Op::i32_xor: case Op::i64_xor: return 0x30;
+      default: return -1;
+    }
+}
+
+/** SSE scalar opcode (0F xx) of an f32/f64 add, sub, mul or div. */
+uint8_t
+sseArithOpcode(Op op)
+{
+    switch (op) {
+      case Op::f32_add: case Op::f64_add: return 0x58;
+      case Op::f32_sub: case Op::f64_sub: return 0x5C;
+      case Op::f32_mul: case Op::f64_mul: return 0x59;
+      default: return 0x5E;
+    }
+}
+
+/** The /ext of the x86 shift group (C1 / D3) implementing an i32/i64
+ * shift or rotate, or -1. */
+int
+shiftExt(Op op)
+{
+    switch (op) {
+      case Op::i32_rotl: case Op::i64_rotl: return 0;
+      case Op::i32_rotr: case Op::i64_rotr: return 1;
+      case Op::i32_shl: case Op::i64_shl: return 4;
+      case Op::i32_shr_u: case Op::i64_shr_u: return 5;
+      case Op::i32_shr_s: case Op::i64_shr_s: return 7;
+      default: return -1;
+    }
+}
+
+/** How a two-input integer op takes an immediate rhs in one x86
+ * instruction: the 81 /ext group (alu, cmp), the C1 /ext shift group, or
+ * imul r, r/m, imm32. */
+struct ImmForm
+{
+    enum Kind : uint8_t { none, alu, shift, mul, cmp } kind = none;
+    bool is64 = false;
+    uint8_t ext = 0;
+    Cond cond = Cond::e;
+};
+
+ImmForm
+immFormFor(Op op)
+{
+    ImmForm form;
+    form.is64 = operandSigChar(op, 0) == 'I';
+    if (intCompare(op, form.is64, form.cond)) {
+        form.kind = ImmForm::cmp;
+        form.ext = 7;
+    } else if (aluBase(op) >= 0) {
+        form.kind = ImmForm::alu;
+        form.ext = uint8_t(aluBase(op) >> 3);
+    } else if (op == Op::i32_mul || op == Op::i64_mul) {
+        form.kind = ImmForm::mul;
+    } else if (shiftExt(op) >= 0) {
+        form.kind = ImmForm::shift;
+        form.ext = uint8_t(shiftExt(op));
+    }
+    return form;
+}
+
+/** Whether a load+binop pair's binop can take the loaded value as a
+ * memory operand: `op r, [mem]` (i32/i64 add, or, and, sub, xor) or an
+ * SSE scalar op (f32/f64 add, sub, mul, div). */
+bool
+hasMemOperandForm(Op load, Op binop)
+{
+    switch (load) {
+      case Op::i32_load:
+      case Op::i64_load:
+        return aluBase(binop) >= 0;
+      case Op::f32_load:
+        return binop >= Op::f32_add && binop <= Op::f32_div;
+      case Op::f64_load:
+        return binop >= Op::f64_add && binop <= Op::f64_div;
+      default:
+        return false;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Register conventions (see DESIGN.md §6)
 //
 //   rbp  InstanceContext*                        (pinned, callee-saved)
 //   r15  frame base (cells) in the value stack   (pinned, callee-saved)
-//   rbx, r12, r13, r14   integer homes of stack slots 0..3
-//   xmm8..xmm11          float homes of stack slots 0..3
-//   rax, rcx, rdx, rsi, rdi, r8-r11, xmm0-xmm5   scratch
+//   rbx, r12, r13        integer homes of stack slots 0..2
+//   xmm8, xmm9, xmm10    float homes of stack slots 0..2
+//   r14, r8, r9, r10 /
+//   xmm11..xmm14         homes of the first four locals
+//   rax, rcx, rdx, rsi, rdi, r11, xmm0-xmm5   scratch
 // ---------------------------------------------------------------------
 
 constexpr Reg kCtxReg = rbp;
 constexpr Reg kFrameReg = r15;
 
 /**
- * Register-home pools. Index 0..1 are the homes of operand-stack slots 0
- * and 1 (dual-class: a slot holds ints or floats depending on the program
- * point). Indices 2..5 are assigned to the function's first four locals;
+ * Register-home pools. Indices 0..2 are the homes of operand-stack slots
+ * 0..2 (dual-class: a slot holds ints or floats depending on the program
+ * point). Indices 3..6 are assigned to the function's first four locals;
  * a local uses the pool register of its own class (the cross-class
  * register of that index stays idle). rbx/r12/r13/r14 are callee-saved;
- * r8/r9 and every xmm are caller-saved and spilled around native calls.
+ * r8/r9/r10 and every xmm are caller-saved and spilled around native
+ * calls.
  */
 constexpr Reg kSlotGpr[7] = {rbx, r12, r13, r14, r8, r9, r10};
 constexpr Xmm kSlotXmm[7] = {xmm8, xmm9, xmm10, xmm11, xmm12, xmm13, xmm14};
-constexpr int kNumSlotRegs = 3;  ///< stack slots with register homes
+/** Stack slots with register homes (the lowering's float masks match). */
+constexpr int kNumSlotRegs = int(wasm::kRegisterSlots);
 constexpr int kNumLocalRegs = 4; ///< locals with register homes
 
 Mem
@@ -654,6 +783,19 @@ class FunctionCompiler
     void emitCallHost(const LInst& inst);
     void emitCallIndirect(const LInst& inst);
 
+    // ----- native fused forms (opt tier; false = decompose instead) -----
+    /** The dead-operand contract (wasm/lower.h): the binop's rhs is the
+     * popped stack slot, so a native form may leave it unwritten. */
+    bool
+    rhsIsPoppedSlot(const LInst& inst) const
+    {
+        return inst.b == inst.a + 1 && inst.b >= func_.numLocalCells;
+    }
+    bool emitConstBinopNative(const LInst& inst);
+    bool emitCmpJumpNative(const LInst& inst);
+    bool emitCopyBinopNative(const LInst& inst);
+    bool emitLoadBinopNative(const LInst& inst);
+
     /** cmp helper: set al by cond then zero-extend into eax. */
     void
     materializeCond(Cond cond)
@@ -699,6 +841,9 @@ class FunctionCompiler
     std::unordered_map<uint32_t, uint64_t> checkedLimit_;
     /** pc currently being emitted (for elision-hint lookups). */
     uint32_t curPc_ = 0;
+    /** Set when the instruction at curPc_ also emitted curPc_ + 1 (a
+     * const+compare folded into the branch that consumes it). */
+    bool skipNext_ = false;
     /** Accesses the opt pass proved covered by an earlier check. */
     std::unordered_set<uint32_t> elideHints_;
     /** Jump-target pc -> [begin, end) range into func_.entryCheckFacts. */
@@ -821,6 +966,10 @@ FunctionCompiler::compile()
         }
         curPc_ = pc;
         emitInstr(func_.code[pc]);
+        if (skipNext_) {
+            skipNext_ = false;
+            pc++;
+        }
     }
 
     emitTrapIslands();
@@ -927,10 +1076,12 @@ FunctionCompiler::emitInstr(const LInst& inst)
         as_.movMR64(CTX_FIELD(guardFallbacks), rax);
         return;
 
-      // The engine only enables fusion for the interpreter tiers, but
-      // keep the JIT total over the IR by decomposing fused forms back
-      // into their original pair.
+      // Fused forms: the optimizing tier emits a native form where x86
+      // has one; everything else (and the baseline tier, which the
+      // engine never hands fused IR) decomposes into the original pair.
       case LOp::fused_const_binop: {
+        if (emitConstBinopNative(inst))
+            return;
         LInst c;
         c.op = uint16_t(constOpForOperand(Op(inst.aux), 1));
         c.a = inst.b;
@@ -941,6 +1092,8 @@ FunctionCompiler::emitInstr(const LInst& inst)
       }
 
       case LOp::fused_cmp_jump: {
+        if (emitCmpJumpNative(inst))
+            return;
         emitWasmOp(synthBinop(inst.aux, inst.b, uint32_t(inst.imm >> 1)));
         loadGpr32(rax, inst.b);
         as_.testRR32(rax, rax);
@@ -949,6 +1102,8 @@ FunctionCompiler::emitInstr(const LInst& inst)
       }
 
       case LOp::fused_copy_binop: {
+        if (emitCopyBinopNative(inst))
+            return;
         uint32_t dst = uint32_t(inst.imm);
         LInst c;
         c.op = uint16_t(LOp::copy);
@@ -962,6 +1117,8 @@ FunctionCompiler::emitInstr(const LInst& inst)
       }
 
       case LOp::fused_load_binop: {
+        if (emitLoadBinopNative(inst))
+            return;
         LInst load;
         load.op = uint16_t(inst.imm >> 32);
         load.a = inst.b;
@@ -974,6 +1131,195 @@ FunctionCompiler::emitInstr(const LInst& inst)
       default:
         emitWasmOp(inst);
         return;
+    }
+}
+
+/**
+ * const+binop as `op r, imm32` (alu and compare groups, imul r, r, imm32)
+ * or a shift by the masked count. i64 ops other than shifts need an
+ * immediate that sign-extends from 32 bits. A compare whose result feeds
+ * the next instruction's jump_if / jump_if_zero (not a jump target)
+ * becomes cmp + jcc, and that branch is consumed too.
+ */
+bool
+FunctionCompiler::emitConstBinopNative(const LInst& inst)
+{
+    if (!opts_.optimize || !rhsIsPoppedSlot(inst))
+        return false;
+    ImmForm form = immFormFor(Op(inst.aux));
+    int32_t imm = int32_t(uint32_t(inst.imm));
+    if (form.kind == ImmForm::none ||
+        (form.is64 && form.kind != ImmForm::shift &&
+         int64_t(inst.imm) != int64_t(imm)))
+        return false;
+
+    int sa = slotRegIndex(inst.a);
+    Reg r = sa >= 0 ? kSlotGpr[sa] : rax;
+    if (sa < 0) {
+        if (form.is64)
+            loadGpr64(rax, inst.a);
+        else
+            loadGpr32(rax, inst.a);
+    }
+    switch (form.kind) {
+      case ImmForm::alu:
+      case ImmForm::cmp:
+        if (form.is64)
+            as_.aluRI64(form.ext, r, imm);
+        else
+            as_.aluRI32(form.ext, r, uint32_t(imm));
+        break;
+      case ImmForm::shift:
+        if (form.is64)
+            as_.shiftImm64(form.ext, r, uint8_t(inst.imm & 63));
+        else
+            as_.shiftImm32(form.ext, r, uint8_t(inst.imm & 31));
+        break;
+      default:
+        if (form.is64)
+            as_.imulRRI64(r, r, imm);
+        else
+            as_.imulRRI32(r, r, imm);
+        break;
+    }
+    invalidate(inst.b);
+
+    if (form.kind == ImmForm::cmp) {
+        uint32_t next = curPc_ + 1;
+        const LInst* branch =
+            next < func_.code.size() ? &func_.code[next] : nullptr;
+        if (branch != nullptr && !jumpTargets_.count(next) &&
+            inst.a >= func_.numLocalCells &&
+            (branch->op == uint16_t(LOp::jump_if) ||
+             branch->op == uint16_t(LOp::jump_if_zero)) &&
+            branch->b == inst.a) {
+            bool if_zero = branch->op == uint16_t(LOp::jump_if_zero);
+            as_.jcc(if_zero ? negate(form.cond) : form.cond,
+                    pcLabels_[branch->a]);
+            invalidate(inst.a);
+            skipNext_ = true;
+            return true;
+        }
+        materializeCond(form.cond);
+        storeGpr32(inst.a, rax);
+        return true;
+    }
+    if (sa >= 0)
+        invalidate(inst.a);
+    else if (form.is64)
+        storeGpr64(inst.a, rax);
+    else
+        storeGpr32(inst.a, rax);
+    return true;
+}
+
+/** Integer compare+branch as `cmp r, r/m; jcc`. The compare's result
+ * cell is the branch's popped operand and stays unwritten. */
+bool
+FunctionCompiler::emitCmpJumpNative(const LInst& inst)
+{
+    bool is64 = false;
+    Cond cond = Cond::e;
+    if (!opts_.optimize || inst.b < func_.numLocalCells ||
+        !intCompare(Op(inst.aux), is64, cond))
+        return false;
+    uint32_t rhs = uint32_t(inst.imm >> 1);
+    int sl = slotRegIndex(inst.b), sr = slotRegIndex(rhs);
+    Reg lhs = sl >= 0 ? kSlotGpr[sl] : rax;
+    if (sl < 0) {
+        if (is64)
+            loadGpr64(rax, inst.b);
+        else
+            loadGpr32(rax, inst.b);
+    }
+    if (sr >= 0) {
+        if (is64)
+            as_.cmpRR64(lhs, kSlotGpr[sr]);
+        else
+            as_.cmpRR32(lhs, kSlotGpr[sr]);
+    } else if (is64) {
+        as_.cmpRM64(lhs, cellMem(rhs));
+    } else {
+        as_.cmpRM32(lhs, cellMem(rhs));
+    }
+    invalidate(inst.b);
+    as_.jcc((inst.imm & 1) ? negate(cond) : cond, pcLabels_[inst.a]);
+    return true;
+}
+
+/** copy+binop whose copy feeds the binop's rhs: the binop reads the
+ * copy's source home (register or frame cell) directly. */
+bool
+FunctionCompiler::emitCopyBinopNative(const LInst& inst)
+{
+    if (!opts_.optimize || uint32_t(inst.imm) != inst.b ||
+        !rhsIsPoppedSlot(inst))
+        return false;
+    emitWasmOp(synthBinop(inst.aux, inst.a, uint32_t(inst.imm >> 32)));
+    invalidate(inst.b);
+    return true;
+}
+
+/**
+ * load+binop as `op r, [mem]` (i32/i64 add, sub, and, or, xor) or an SSE
+ * scalar op with a memory source (f32/f64 add, sub, mul, div). The
+ * address comes from emitAddress, so the access is checked, clamped or
+ * elided exactly as the unfused load would be.
+ */
+bool
+FunctionCompiler::emitLoadBinopNative(const LInst& inst)
+{
+    Op load_op = Op(inst.imm >> 32), op = Op(inst.aux);
+    if (!opts_.optimize || !rhsIsPoppedSlot(inst) ||
+        !hasMemOperandForm(load_op, op))
+        return false;
+    LInst load;
+    load.op = uint16_t(load_op);
+    load.a = inst.b;
+    load.imm = uint32_t(inst.imm);
+    Mem src = emitAddress(load, wasm::memAccessSize(load_op));
+    invalidate(inst.b);
+
+    // The address lives in rax; a frame-homed lhs stages through rdx or
+    // xmm0.
+    int sa = slotRegIndex(inst.a);
+    switch (load_op) {
+      case Op::f32_load:
+      case Op::f64_load: {
+        bool is32 = load_op == Op::f32_load;
+        Xmm x = sa >= 0 ? kSlotXmm[sa] : xmm0;
+        if (sa < 0 && is32)
+            loadXmm32(xmm0, inst.a);
+        else if (sa < 0)
+            loadXmm64(xmm0, inst.a);
+        as_.sseOpRM(is32 ? 0xF3 : 0xF2, sseArithOpcode(op), x, src);
+        if (sa >= 0)
+            invalidate(inst.a);
+        else if (is32)
+            storeXmm32(inst.a, xmm0);
+        else
+            storeXmm64(inst.a, xmm0);
+        return true;
+      }
+      default: {
+        bool is64 = load_op == Op::i64_load;
+        Reg r = sa >= 0 ? kSlotGpr[sa] : rdx;
+        if (sa < 0 && is64)
+            loadGpr64(rdx, inst.a);
+        else if (sa < 0)
+            loadGpr32(rdx, inst.a);
+        if (is64)
+            as_.aluRM64(uint8_t(aluBase(op)), r, src);
+        else
+            as_.aluRM32(uint8_t(aluBase(op)), r, src);
+        if (sa >= 0)
+            invalidate(inst.a);
+        else if (is64)
+            storeGpr64(inst.a, rdx);
+        else
+            storeGpr32(inst.a, rdx);
+        return true;
+      }
     }
 }
 
@@ -1922,6 +2268,12 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         emitAtomic(inst);
         return;
     }
+    bool is64 = false;
+    Cond cond = Cond::e;
+    if (intCompare(op, is64, cond)) {
+        emitIntCompare(inst, is64, cond);
+        return;
+    }
 
     switch (op) {
       // ----- constants -----
@@ -2038,41 +2390,19 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         return;
       }
 
-      // ----- i32 compare -----
+      // ----- integer compares (two-input ones: see intCompare) -----
       case Op::i32_eqz:
         loadGpr32(rax, inst.a);
         as_.testRR32(rax, rax);
         materializeCond(Cond::e);
         storeGpr32(inst.a, rax);
         return;
-      case Op::i32_eq: emitIntCompare(inst, false, Cond::e); return;
-      case Op::i32_ne: emitIntCompare(inst, false, Cond::ne); return;
-      case Op::i32_lt_s: emitIntCompare(inst, false, Cond::l); return;
-      case Op::i32_lt_u: emitIntCompare(inst, false, Cond::b); return;
-      case Op::i32_gt_s: emitIntCompare(inst, false, Cond::g); return;
-      case Op::i32_gt_u: emitIntCompare(inst, false, Cond::a); return;
-      case Op::i32_le_s: emitIntCompare(inst, false, Cond::le); return;
-      case Op::i32_le_u: emitIntCompare(inst, false, Cond::be); return;
-      case Op::i32_ge_s: emitIntCompare(inst, false, Cond::ge); return;
-      case Op::i32_ge_u: emitIntCompare(inst, false, Cond::ae); return;
-
-      // ----- i64 compare -----
       case Op::i64_eqz:
         loadGpr64(rax, inst.a);
         as_.testRR64(rax, rax);
         materializeCond(Cond::e);
         storeGpr32(inst.a, rax);
         return;
-      case Op::i64_eq: emitIntCompare(inst, true, Cond::e); return;
-      case Op::i64_ne: emitIntCompare(inst, true, Cond::ne); return;
-      case Op::i64_lt_s: emitIntCompare(inst, true, Cond::l); return;
-      case Op::i64_lt_u: emitIntCompare(inst, true, Cond::b); return;
-      case Op::i64_gt_s: emitIntCompare(inst, true, Cond::g); return;
-      case Op::i64_gt_u: emitIntCompare(inst, true, Cond::a); return;
-      case Op::i64_le_s: emitIntCompare(inst, true, Cond::le); return;
-      case Op::i64_le_u: emitIntCompare(inst, true, Cond::be); return;
-      case Op::i64_ge_s: emitIntCompare(inst, true, Cond::ge); return;
-      case Op::i64_ge_u: emitIntCompare(inst, true, Cond::ae); return;
 
       // ----- float compares -----
       case Op::f32_eq: case Op::f32_ne: case Op::f32_lt:
@@ -2082,96 +2412,53 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         emitFloatCompare(inst);
         return;
 
-      // ----- i32 arithmetic -----
+      // ----- i32 / i64 arithmetic -----
       case Op::i32_add: case Op::i32_sub: case Op::i32_mul:
-      case Op::i32_and: case Op::i32_or: case Op::i32_xor: {
+      case Op::i32_and: case Op::i32_or: case Op::i32_xor:
+      case Op::i64_add: case Op::i64_sub: case Op::i64_mul:
+      case Op::i64_and: case Op::i64_or: case Op::i64_xor: {
+        bool wide = op >= Op::i64_add;
+        bool mul = op == Op::i32_mul || op == Op::i64_mul;
+        auto rr = [&](Reg a, Reg b) {
+            if (mul && wide)
+                as_.imulRR64(a, b);
+            else if (mul)
+                as_.imulRR32(a, b);
+            else if (wide)
+                as_.aluRR64(uint8_t(aluBase(op)), a, b);
+            else
+                as_.aluRR32(uint8_t(aluBase(op)), a, b);
+        };
+        auto load = [&](Reg dst, uint32_t cell) {
+            if (wide)
+                loadGpr64(dst, cell);
+            else
+                loadGpr32(dst, cell);
+        };
         // Optimizing tier: operate directly on the destination home.
         int sa = slotRegIndex(inst.a), sb = slotRegIndex(inst.b);
         if (opts_.optimize && sa >= 0) {
             Reg a = kSlotGpr[sa];
             if (sb >= 0) {
-                Reg b = kSlotGpr[sb];
-                switch (op) {
-                  case Op::i32_add: as_.addRR32(a, b); break;
-                  case Op::i32_sub: as_.subRR32(a, b); break;
-                  case Op::i32_mul: as_.imulRR32(a, b); break;
-                  case Op::i32_and: as_.andRR32(a, b); break;
-                  case Op::i32_or: as_.orRR32(a, b); break;
-                  default: as_.xorRR32(a, b); break;
-                }
-            } else if (op == Op::i32_mul) {
-                loadGpr32(rcx, inst.b);
-                as_.imulRR32(a, rcx);
+                rr(a, kSlotGpr[sb]);
+            } else if (mul) {
+                load(rcx, inst.b);
+                rr(a, rcx);
+            } else if (wide) {
+                as_.aluRM64(uint8_t(aluBase(op)), a, cellMem(inst.b));
             } else {
-                Mem b = cellMem(inst.b);
-                switch (op) {
-                  case Op::i32_add: as_.aluRM32(0x00, a, b); break;
-                  case Op::i32_sub: as_.aluRM32(0x28, a, b); break;
-                  case Op::i32_and: as_.aluRM32(0x20, a, b); break;
-                  case Op::i32_or: as_.aluRM32(0x08, a, b); break;
-                  default: as_.aluRM32(0x30, a, b); break;
-                }
+                as_.aluRM32(uint8_t(aluBase(op)), a, cellMem(inst.b));
             }
             invalidate(inst.a);
             return;
         }
-        loadGpr32(rax, inst.a);
-        loadGpr32(rcx, inst.b);
-        switch (op) {
-          case Op::i32_add: as_.addRR32(rax, rcx); break;
-          case Op::i32_sub: as_.subRR32(rax, rcx); break;
-          case Op::i32_mul: as_.imulRR32(rax, rcx); break;
-          case Op::i32_and: as_.andRR32(rax, rcx); break;
-          case Op::i32_or: as_.orRR32(rax, rcx); break;
-          default: as_.xorRR32(rax, rcx); break;
-        }
-        storeGpr32(inst.a, rax);
-        return;
-      }
-
-      // ----- i64 arithmetic -----
-      case Op::i64_add: case Op::i64_sub: case Op::i64_mul:
-      case Op::i64_and: case Op::i64_or: case Op::i64_xor: {
-        int sa = slotRegIndex(inst.a), sb = slotRegIndex(inst.b);
-        if (opts_.optimize && sa >= 0) {
-            Reg a = kSlotGpr[sa];
-            if (sb >= 0) {
-                Reg b = kSlotGpr[sb];
-                switch (op) {
-                  case Op::i64_add: as_.addRR64(a, b); break;
-                  case Op::i64_sub: as_.subRR64(a, b); break;
-                  case Op::i64_mul: as_.imulRR64(a, b); break;
-                  case Op::i64_and: as_.andRR64(a, b); break;
-                  case Op::i64_or: as_.orRR64(a, b); break;
-                  default: as_.xorRR64(a, b); break;
-                }
-            } else if (op == Op::i64_mul) {
-                loadGpr64(rcx, inst.b);
-                as_.imulRR64(a, rcx);
-            } else {
-                Mem b = cellMem(inst.b);
-                switch (op) {
-                  case Op::i64_add: as_.aluRM64(0x00, a, b); break;
-                  case Op::i64_sub: as_.aluRM64(0x28, a, b); break;
-                  case Op::i64_and: as_.aluRM64(0x20, a, b); break;
-                  case Op::i64_or: as_.aluRM64(0x08, a, b); break;
-                  default: as_.aluRM64(0x30, a, b); break;
-                }
-            }
-            invalidate(inst.a);
-            return;
-        }
-        loadGpr64(rax, inst.a);
-        loadGpr64(rcx, inst.b);
-        switch (op) {
-          case Op::i64_add: as_.addRR64(rax, rcx); break;
-          case Op::i64_sub: as_.subRR64(rax, rcx); break;
-          case Op::i64_mul: as_.imulRR64(rax, rcx); break;
-          case Op::i64_and: as_.andRR64(rax, rcx); break;
-          case Op::i64_or: as_.orRR64(rax, rcx); break;
-          default: as_.xorRR64(rax, rcx); break;
-        }
-        storeGpr64(inst.a, rax);
+        load(rax, inst.a);
+        load(rcx, inst.b);
+        rr(rax, rcx);
+        if (wide)
+            storeGpr64(inst.a, rax);
+        else
+            storeGpr32(inst.a, rax);
         return;
       }
 
@@ -2187,12 +2474,7 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
       case Op::i32_rotl: case Op::i32_rotr: {
         loadGpr32(rcx, inst.b);
         loadGpr32(rax, inst.a);
-        uint8_t ext = op == Op::i32_shl     ? 4
-                      : op == Op::i32_shr_u ? 5
-                      : op == Op::i32_shr_s ? 7
-                      : op == Op::i32_rotl  ? 0
-                                            : 1;
-        as_.shiftCl32(ext, rax);
+        as_.shiftCl32(uint8_t(shiftExt(op)), rax);
         storeGpr32(inst.a, rax);
         return;
       }
@@ -2200,12 +2482,7 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
       case Op::i64_rotl: case Op::i64_rotr: {
         loadGpr64(rcx, inst.b);
         loadGpr64(rax, inst.a);
-        uint8_t ext = op == Op::i64_shl     ? 4
-                      : op == Op::i64_shr_u ? 5
-                      : op == Op::i64_shr_s ? 7
-                      : op == Op::i64_rotl  ? 0
-                                            : 1;
-        as_.shiftCl64(ext, rax);
+        as_.shiftCl64(uint8_t(shiftExt(op)), rax);
         storeGpr64(inst.a, rax);
         return;
       }
@@ -2256,55 +2533,32 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
 
       // ----- float arithmetic -----
       case Op::f32_add: case Op::f32_sub: case Op::f32_mul:
-      case Op::f32_div: {
-        uint8_t opcode = op == Op::f32_add   ? 0x58
-                         : op == Op::f32_sub ? 0x5C
-                         : op == Op::f32_mul ? 0x59
-                                             : 0x5E;
+      case Op::f32_div: case Op::f64_add: case Op::f64_sub:
+      case Op::f64_mul: case Op::f64_div: {
+        bool is32 = op <= Op::f32_div;
+        uint8_t prefix = is32 ? 0xF3 : 0xF2;
+        uint8_t opcode = sseArithOpcode(op);
         int sa = slotRegIndex(inst.a), sb = slotRegIndex(inst.b);
         if (opts_.optimize && sa >= 0) {
             if (sb >= 0)
-                as_.sseOp(0xF3, opcode, kSlotXmm[sa], kSlotXmm[sb]);
+                as_.sseOp(prefix, opcode, kSlotXmm[sa], kSlotXmm[sb]);
             else
-                as_.sseOpRM(0xF3, opcode, kSlotXmm[sa], cellMem(inst.b));
+                as_.sseOpRM(prefix, opcode, kSlotXmm[sa], cellMem(inst.b));
             invalidate(inst.a);
             return;
         }
-        loadXmm32(xmm0, inst.a);
-        loadXmm32(xmm1, inst.b);
-        switch (op) {
-          case Op::f32_add: as_.addss(xmm0, xmm1); break;
-          case Op::f32_sub: as_.subss(xmm0, xmm1); break;
-          case Op::f32_mul: as_.mulss(xmm0, xmm1); break;
-          default: as_.divss(xmm0, xmm1); break;
+        if (is32) {
+            loadXmm32(xmm0, inst.a);
+            loadXmm32(xmm1, inst.b);
+        } else {
+            loadXmm64(xmm0, inst.a);
+            loadXmm64(xmm1, inst.b);
         }
-        storeXmm32(inst.a, xmm0);
-        return;
-      }
-      case Op::f64_add: case Op::f64_sub: case Op::f64_mul:
-      case Op::f64_div: {
-        uint8_t opcode = op == Op::f64_add   ? 0x58
-                         : op == Op::f64_sub ? 0x5C
-                         : op == Op::f64_mul ? 0x59
-                                             : 0x5E;
-        int sa = slotRegIndex(inst.a), sb = slotRegIndex(inst.b);
-        if (opts_.optimize && sa >= 0) {
-            if (sb >= 0)
-                as_.sseOp(0xF2, opcode, kSlotXmm[sa], kSlotXmm[sb]);
-            else
-                as_.sseOpRM(0xF2, opcode, kSlotXmm[sa], cellMem(inst.b));
-            invalidate(inst.a);
-            return;
-        }
-        loadXmm64(xmm0, inst.a);
-        loadXmm64(xmm1, inst.b);
-        switch (op) {
-          case Op::f64_add: as_.addsd(xmm0, xmm1); break;
-          case Op::f64_sub: as_.subsd(xmm0, xmm1); break;
-          case Op::f64_mul: as_.mulsd(xmm0, xmm1); break;
-          default: as_.divsd(xmm0, xmm1); break;
-        }
-        storeXmm64(inst.a, xmm0);
+        as_.sseOp(prefix, opcode, xmm0, xmm1);
+        if (is32)
+            storeXmm32(inst.a, xmm0);
+        else
+            storeXmm64(inst.a, xmm0);
         return;
       }
 

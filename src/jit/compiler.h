@@ -31,10 +31,11 @@ struct JitOptions
 {
     mem::BoundsStrategy strategy = mem::BoundsStrategy::mprotect;
     /**
-     * Enable the optimizing tier (the WAVM analogue): constant folding
-     * into addressing modes, redundant bounds-check elimination, and
-     * memory-base caching. Off = baseline single-pass tier (the
-     * V8-Liftoff/Cranelift analogue).
+     * Enable the optimizing tier (the WAVM analogue): operations
+     * directly on register homes, native forms of the opt pass's fused
+     * superinstructions (immediate, register and memory operands,
+     * cmp+jcc), and redundant bounds-check elimination. Off = baseline
+     * single-pass tier (the V8-Liftoff/Cranelift analogue).
      */
     bool optimize = false;
     /** Emit the function-entry value-stack overflow check (paper §1 lists

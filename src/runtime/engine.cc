@@ -176,16 +176,16 @@ Engine::compile(wasm::Module module) const
     }
 
     if (config.optimizeLoweredIR) {
-        // Strategy-aware transform selection: interpreters get
-        // superinstruction fusion; the optimizing JIT under the trap
-        // strategy gets check analysis + versioning (guard-page and clamp
-        // codegen has nothing to elide — clamp must still redirect).
-        // Tiered modules share one IR between both tiers, so they skip
-        // fusion (the JIT has no fused-op patterns) but keep the check
-        // analysis their jit_opt top tier consumes; the interpreter
-        // runs the versioned loops' guards and clones like any code.
+        // Strategy-aware transform selection: every executor but the
+        // baseline JIT gets superinstruction fusion (the interpreters
+        // save dispatches, jit_opt emits native fused forms); the
+        // optimizing JIT under the trap strategy also gets check
+        // analysis + versioning (guard-page and clamp codegen has
+        // nothing to elide — clamp must still redirect). Tiered modules
+        // share one fused IR between both tiers; the interpreter runs
+        // the versioned loops' guards and clones like any code.
         wasm::OptOptions opt;
-        opt.fuse = !tiered && !engineIsJit(config.kind);
+        opt.fuse = tiered || config.kind != EngineKind::jit_base;
         bool top_is_opt_jit =
             tiered || config.kind == EngineKind::jit_opt;
         opt.analyzeChecks = top_is_opt_jit &&

@@ -66,9 +66,10 @@ struct EngineConfig
     uint32_t maxCallDepth = 8192;
     /**
      * Run the lowered-IR optimization pass (wasm/opt.*) between lowering
-     * and execution: superinstruction fusion for the interpreter tiers,
-     * cross-block/loop bounds-check elimination for jit_opt under the
-     * trap strategy. Ablation knob; LNB_OPT_DISABLED=1 turns it off.
+     * and execution: superinstruction fusion for every executor but
+     * jit_base, cross-block/loop bounds-check elimination for jit_opt
+     * under the trap strategy. Ablation knob; LNB_OPT_DISABLED=1 turns
+     * it off.
      */
     bool optimizeLoweredIR = true;
     /**

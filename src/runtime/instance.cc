@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <mutex>
 
 #include "mem/signals.h"
 #include "obs/metrics.h"
@@ -11,6 +12,7 @@
 #include "obs/trace.h"
 #include "runtime/waitlist.h"
 #include "support/env.h"
+#include "support/log.h"
 
 namespace lnb::rt {
 
@@ -52,6 +54,10 @@ struct RtMetrics
         "rt.snapshot_restores");
     obs::Counter snapshotInvalidations = obs::registerCounter(
         "rt.snapshot_invalidations");
+    /** Template captures that failed for a reason other than an
+     * unsupported backing (each is retried by the next create). */
+    obs::Counter snapshotFailures = obs::registerCounter(
+        "mem.snapshot_failures");
 };
 
 RtMetrics&
@@ -338,10 +344,20 @@ Instance::captureSnapshot()
     auto captured = memory_->snapshot();
     if (!captured.isOk()) {
         // Unsupported backing (uffd emulation, empty memory): remember
-        // the refusal so later instances skip the attempt; transient
-        // resource failures just retry on the next instantiation.
-        if (captured.status().code() == StatusCode::unsupported)
+        // the refusal so later instances skip the attempt. Any other
+        // failure is counted, warned about once per process and retried
+        // on the next instantiation.
+        if (captured.status().code() == StatusCode::unsupported) {
             module_->markSnapshotRefused();
+            return;
+        }
+        rtMetrics().snapshotFailures.add();
+        static std::once_flag warned;
+        std::call_once(warned, [&] {
+            LNB_WARN("snapshot capture failed (%s); instances fall back to "
+                     "cold initialization and retry the capture",
+                     captured.status().toString().c_str());
+        });
         return;
     }
     auto state = std::make_unique<SnapshotState>();

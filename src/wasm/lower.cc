@@ -163,8 +163,9 @@ class FuncLowerer
     }
 
     /**
-     * Bitmask of register-homed stack slots (0..3) that hold float values
-     * and stay live across an instruction consuming @p consumed operands.
+     * Bitmask of register-homed stack slots (below kRegisterSlots) that
+     * hold float values and stay live across an instruction consuming
+     * @p consumed operands.
      * The JIT spills/reloads exactly these xmm slot registers around
      * anything that becomes a native call (xmm registers are caller-saved
      * in the SysV ABI; the integer slot registers are callee-saved).
@@ -174,7 +175,7 @@ class FuncLowerer
     {
         uint32_t live = depth() - consumed;
         uint16_t mask = 0;
-        for (uint32_t s = 0; s < live && s < 4; s++) {
+        for (uint32_t s = 0; s < live && s < kRegisterSlots; s++) {
             if (stack_[s] == ValType::f32 || stack_[s] == ValType::f64)
                 mask |= uint16_t(1u << s);
         }

@@ -29,6 +29,12 @@
 
 namespace lnb::wasm {
 
+/**
+ * Operand-stack slots 0..kRegisterSlots-1 have register homes in the
+ * optimizing JIT; the lowering's float-live masks cover exactly these.
+ */
+constexpr uint32_t kRegisterSlots = 3;
+
 /** Pseudo-instructions appended after the wasm opcode space. */
 enum class LOp : uint16_t {
     jump = uint16_t(Op::count_), ///< a = target pc
@@ -42,6 +48,18 @@ enum class LOp : uint16_t {
     calli,      ///< a = type index, b = table-index cell
     trap,       ///< aux = TrapKind
     // ----- emitted only by the optimization pass (wasm/opt.*) -----
+    //
+    // Dead-operand contract. Each fused form is defined as its original
+    // pair, including the write of the intermediate ("consumed") cell.
+    // An executor may leave that cell unwritten only where the lowering
+    // guarantees it is dead: for the three binop forms the consumed cell
+    // is the binop's rhs, which must be the popped stack slot
+    // (b == a + 1 && b >= numLocalCells); for a compare feeding a branch
+    // it is the compare's result, which the branch pops, so it must be a
+    // stack cell (>= numLocalCells). Operand-stack cells above the top
+    // are always rewritten before they are read again, and so are the
+    // versioning guard's scratch cells past the original numCells.
+    //
     /** f[b] = imm, then 2-input wasm op `aux` on (a, b). */
     fused_const_binop,
     /**

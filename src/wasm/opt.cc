@@ -428,22 +428,16 @@ applyDeletions(LoweredFunc& func, const std::vector<uint8_t>& drop)
 {
     const size_t n = func.code.size();
     std::vector<uint32_t> new_pc(n + 1);
-    uint32_t removed = 0;
+    uint32_t kept = 0;
     for (size_t pc = 0; pc < n; pc++) {
-        new_pc[pc] = uint32_t(pc - removed);
-        if (drop[pc])
-            removed++;
-    }
-    new_pc[n] = uint32_t(n - removed);
-    if (removed == 0)
-        return;
-    std::vector<LInst> out;
-    out.reserve(n - removed);
-    for (size_t pc = 0; pc < n; pc++) {
+        new_pc[pc] = kept;
         if (!drop[pc])
-            out.push_back(func.code[pc]);
+            func.code[kept++] = func.code[pc];
     }
-    func.code = std::move(out);
+    new_pc[n] = kept;
+    if (kept == n)
+        return;
+    func.code.resize(kept);
     remapJumps(func, new_pc);
     remapFacts(func, new_pc);
 }
@@ -1254,14 +1248,19 @@ runCheckDataflow(const LoweredFunc& func, const Cfg& cfg,
 bool
 isFusableBinop(const LInst& inst)
 {
-    if (!inst.isWasmOp())
-        return false;
-    Op op = inst.wasmOp();
-    if (isLoadOp(op) || isStoreOp(op) || isAtomicOp(op))
-        return false; // their imm (offset) is live; cannot be repurposed
-    if (opInfo(op).sig[0] == '*')
-        return false;
-    return numInputs(op) == 2 && hasOutput(op);
+    // One table lookup: fusion asks this for every adjacent pair.
+    static const std::vector<uint8_t> fusable = [] {
+        std::vector<uint8_t> table(kOpCount, 0);
+        for (size_t i = 0; i < kOpCount; i++) {
+            Op op = Op(i);
+            // Memory ops' imm (offset) is live; it cannot be repurposed.
+            table[i] = !isLoadOp(op) && !isStoreOp(op) && !isAtomicOp(op) &&
+                       opInfo(op).sig[0] != '*' && numInputs(op) == 2 &&
+                       hasOutput(op);
+        }
+        return table;
+    }();
+    return inst.isWasmOp() && fusable[inst.op];
 }
 
 bool
@@ -1402,13 +1401,16 @@ optimizeLoweredFunc(LoweredFunc& func, const OptOptions& opts)
 
     if (opts.fuse) {
         stats.instsFused = fuseSuperinstructions(func);
-        // Fusion may have replaced hinted accesses with fused forms the
-        // JIT hints cannot describe; drop stale hints defensively.
+        // A fused load+binop keeps its load's pc, and with it the load's
+        // versioning or value-numbering hint; the JIT checks (or elides)
+        // the fused access exactly like the unfused load. Drop any hint
+        // that no longer sits on a memory access.
         std::vector<uint32_t> keep;
         for (uint32_t pc : func.elidableCheckPcs) {
             const LInst& inst = func.code[pc];
-            if (inst.isWasmOp() && (isLoadOp(inst.wasmOp()) ||
-                                    isStoreOp(inst.wasmOp())))
+            if (inst.isWasmOp() ? isLoadOp(inst.wasmOp()) ||
+                                      isStoreOp(inst.wasmOp())
+                                : inst.lop() == LOp::fused_load_binop)
                 keep.push_back(pc);
         }
         func.elidableCheckPcs = std::move(keep);

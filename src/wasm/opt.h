@@ -24,12 +24,15 @@
  *    fully-checked clone when they fail. The only sound way to remove
  *    variable-index checks.
  *
- *  - Superinstruction fusion (interpreter tiers): adjacent
- *    const+binop, compare+branch, copy+binop, and load+binop pairs are
- *    rewritten into single fused pseudo-instructions, halving dispatch
- *    count on the hottest lowered pairs. Fused handlers replay the
- *    original two instructions through the shared semantic functions, so
- *    results (including NaN payloads and trap order) stay bit-exact.
+ *  - Superinstruction fusion (every executor but the baseline JIT):
+ *    adjacent const+binop, compare+branch, copy+binop, and load+binop
+ *    pairs are rewritten into single fused pseudo-instructions. The
+ *    interpreters retire one dispatch per pair, replaying the original
+ *    two instructions through the shared semantic functions, so results
+ *    (including NaN payloads and trap order) stay bit-exact. The
+ *    optimizing JIT emits each pair as one native operation where x86
+ *    has one (immediate, register or memory operand, cmp+jcc), relying
+ *    on the dead-operand contract in wasm/lower.h.
  *
  * The check analysis is intraprocedural: every call clears the facts.
  *

@@ -74,6 +74,66 @@ TEST(Assembler, AluAndShift)
               (std::vector<uint8_t>{0x03, 0x83, 0x10, 0x00, 0x00, 0x00}));
 }
 
+TEST(Assembler, FusedFormEncodings)
+{
+    using Bytes = std::vector<uint8_t>;
+    // imul r, r/m, imm32 -> [REX] 69 /r id
+    EXPECT_EQ(assemble([](Assembler& a) { a.imulRRI32(rax, rcx,
+                                                      0x12345678); }),
+              (Bytes{0x69, 0xC1, 0x78, 0x56, 0x34, 0x12}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.imulRRI32(r9, r10, -2); }),
+              (Bytes{0x45, 0x69, 0xCA, 0xFE, 0xFF, 0xFF, 0xFF}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.imulRRI64(rbx, rbx, 27); }),
+              (Bytes{0x48, 0x69, 0xDB, 0x1B, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.imulRRI64(r14, r14, 30); }),
+              (Bytes{0x4D, 0x69, 0xF6, 0x1E, 0x00, 0x00, 0x00}));
+    // op r, imm32 -> [REX] 81 /ext id
+    EXPECT_EQ(assemble([](Assembler& a) { a.aluRI32(0, rbx, 5); }),
+              (Bytes{0x81, 0xC3, 0x05, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.aluRI32(5, r12, 0x10); }),
+              (Bytes{0x41, 0x81, 0xEC, 0x10, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.aluRI64(4, rax, 1); }),
+              (Bytes{0x48, 0x81, 0xE0, 0x01, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.aluRI64(7, r13, -1); }),
+              (Bytes{0x49, 0x81, 0xFD, 0xFF, 0xFF, 0xFF, 0xFF}));
+    // shift/rotate by imm8 -> [REX] C1 /ext ib
+    EXPECT_EQ(assemble([](Assembler& a) { a.shiftImm32(7, rbx, 31); }),
+              (Bytes{0xC1, 0xFB, 0x1F}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.shiftImm32(4, r8, 3); }),
+              (Bytes{0x41, 0xC1, 0xE0, 0x03}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.shiftImm64(0, rcx, 1); }),
+              (Bytes{0x48, 0xC1, 0xC1, 0x01}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.shiftImm64(5, r14, 63); }),
+              (Bytes{0x49, 0xC1, 0xEE, 0x3F}));
+    // cmp r, r/m -> [REX] 3B /r (memory) and 39 /r (register)
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpRM32(rbx, {r15, 40}); }),
+              (Bytes{0x41, 0x3B, 0x9F, 0x28, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpRM32(r13, {r15, 8}); }),
+              (Bytes{0x45, 0x3B, 0xAF, 0x08, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpRM64(rax, {rbp, 16}); }),
+              (Bytes{0x48, 0x3B, 0x85, 0x10, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpRM64(r12, {r15, 0}); }),
+              (Bytes{0x4D, 0x3B, 0xA7, 0x00, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpRR32(rbx, r12); }),
+              (Bytes{0x44, 0x39, 0xE3}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpRR64(r13, r9); }),
+              (Bytes{0x4D, 0x39, 0xCD}));
+    // op r, [mem] and the SSE scalar memory forms of load+binop.
+    EXPECT_EQ(assemble([](Assembler& a) { a.aluRM32(0x30, rbx,
+                                                    {rax, 0}); }),
+              (Bytes{0x33, 0x98, 0x00, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.aluRM64(0x28, r9,
+                                                    {rax, 0}); }),
+              (Bytes{0x4C, 0x2B, 0x88, 0x00, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.sseOpRM(0xF3, 0x58, xmm0,
+                                                    {rax, 8}); }),
+              (Bytes{0xF3, 0x0F, 0x58, 0x80, 0x08, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.sseOpRM(0xF2, 0x59, xmm10,
+                                                    {rax, 0}); }),
+              (Bytes{0xF2, 0x44, 0x0F, 0x59, 0x90, 0x00, 0x00, 0x00,
+                     0x00}));
+}
+
 TEST(Assembler, SseEncodings)
 {
     // addsd xmm0, xmm1 -> F2 0F 58 C1

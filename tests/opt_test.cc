@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <string>
 
 #include "jit/compiler.h"
 #include "obs/metrics.h"
@@ -149,15 +151,32 @@ TEST(Fusion, FusesPairsAndShrinksCode)
     EXPECT_TRUE(has_fused);
 }
 
-TEST(Fusion, InterpretersMatchUnoptimizedResults)
+constexpr BoundsStrategy kAllStrategies[] = {
+    BoundsStrategy::none, BoundsStrategy::clamp, BoundsStrategy::trap,
+    BoundsStrategy::mprotect, BoundsStrategy::uffd};
+
+TEST(Fusion, FusedExecutorsMatchUnoptimizedResults)
 {
-    for (EngineKind kind :
-         {EngineKind::interp_switch, EngineKind::interp_threaded}) {
+    struct Case
+    {
+        EngineKind kind;
+        BoundsStrategy strategy;
+    };
+    std::vector<Case> cases = {
+        {EngineKind::interp_switch, BoundsStrategy::trap},
+        {EngineKind::interp_threaded, BoundsStrategy::trap}};
+    if (jit::jitSupported()) {
+        for (BoundsStrategy strategy : kAllStrategies)
+            cases.push_back({EngineKind::jit_opt, strategy});
+    }
+    for (const Case& c : cases) {
+        SCOPED_TRACE(std::string(rt::engineKindName(c.kind)) + " " +
+                     mem::boundsStrategyName(c.strategy));
         std::vector<uint32_t> sums;
         for (bool opt : {false, true}) {
             EngineConfig config;
-            config.kind = kind;
-            config.strategy = BoundsStrategy::trap;
+            config.kind = c.kind;
+            config.strategy = c.strategy;
             config.optimizeLoweredIR = opt;
             Engine engine(config);
             auto compiled = engine.compile(bottomTestSumModule());
@@ -173,6 +192,375 @@ TEST(Fusion, InterpretersMatchUnoptimizedResults)
             sums.push_back(out.results[0].i32);
         }
         EXPECT_EQ(sums[0], sums[1]);
+    }
+}
+
+/**
+ * Edge cases for jit_opt's native fused forms. Every export takes
+ * (x: i32, y: i64, z: f64, addr: i32) and returns an i64 fold of its
+ * results. Each body is exported twice: as is, and as "<name>_deep"
+ * with three filler values under it, so its operands land in frame
+ * cells instead of register homes.
+ */
+Module
+fusedEdgeModule()
+{
+    ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    std::vector<uint8_t> tail(64);
+    for (size_t i = 0; i < tail.size(); i++)
+        tail[i] = uint8_t((i * 3 + 1) % 64); // no NaN bit patterns
+    mb.addData(65536 - 64, tail);
+    uint32_t t = mb.addType(
+        {ValType::i32, ValType::i64, ValType::f64, ValType::i32},
+        {ValType::i64});
+    constexpr uint32_t x = 0, y = 1, z = 2, addr = 3;
+    constexpr int64_t k2p31 = int64_t(1) << 31;
+    constexpr int64_t kMinus2p31m1 = -k2p31 - 1;
+    constexpr int64_t k2p63 = INT64_MIN;
+
+    // Exports body (net +1 i64) at stack depth 0 and at depth 3.
+    auto add = [&](const std::string& name,
+                   const std::function<void(FunctionBuilder&)>& body) {
+        auto& shallow = mb.addFunction(t);
+        body(shallow);
+        mb.exportFunc(name, shallow.finish());
+        auto& deep = mb.addFunction(t);
+        for (int i = 0; i < 3; i++)
+            deep.i64Const(i + 1);
+        body(deep);
+        for (int i = 0; i < 3; i++)
+            deep.emit(Op::i64_xor);
+        mb.exportFunc(name + "_deep", deep.finish());
+    };
+    auto binI32 = [](FunctionBuilder& f, int32_t k, Op op, Op fold) {
+        f.localGet(x);
+        f.i32Const(k);
+        f.emit(op);
+        f.emit(fold);
+    };
+    auto binI64 = [](FunctionBuilder& f, int64_t k, Op op, Op fold) {
+        f.localGet(y);
+        f.i64Const(k);
+        f.emit(op);
+        f.emit(fold);
+    };
+
+    // const+binop, i32: shift counts >= 32, negative immediates.
+    add("imm32", [&](FunctionBuilder& f) {
+        f.localGet(x);
+        f.i32Const(33);
+        f.emit(Op::i32_shl);
+        binI32(f, 40, Op::i32_shr_s, Op::i32_xor);
+        binI32(f, 32, Op::i32_shr_u, Op::i32_xor);
+        binI32(f, 37, Op::i32_rotl, Op::i32_xor);
+        binI32(f, 63, Op::i32_rotr, Op::i32_xor);
+        binI32(f, -5, Op::i32_add, Op::i32_xor);
+        binI32(f, -7, Op::i32_sub, Op::i32_xor);
+        binI32(f, -3, Op::i32_mul, Op::i32_xor);
+        binI32(f, 27, Op::i32_mul, Op::i32_add);
+        binI32(f, -16, Op::i32_and, Op::i32_xor);
+        binI32(f, -256, Op::i32_or, Op::i32_xor);
+        binI32(f, -1, Op::i32_xor, Op::i32_xor);
+        // Compares materialized into a bit string.
+        const std::pair<int32_t, Op> cmps[] = {
+            {-1, Op::i32_lt_s}, {-1, Op::i32_lt_u}, {-7, Op::i32_gt_s},
+            {5, Op::i32_gt_u}, {-5, Op::i32_le_s}, {100, Op::i32_le_u},
+            {0, Op::i32_ge_s}, {INT32_MIN, Op::i32_ge_u},
+            {-5, Op::i32_eq}, {3, Op::i32_ne}};
+        for (const auto& [k, op] : cmps) {
+            f.i32Const(1);
+            f.emit(Op::i32_shl);
+            binI32(f, k, op, Op::i32_or);
+        }
+        f.emit(Op::i64_extend_i32_u);
+    });
+
+    // const+binop, i64: shift counts >= 64, and immediates that do not
+    // sign-extend from 32 bits (2^31, -2^31-1, 2^63) next to ones that do.
+    add("imm64", [&](FunctionBuilder& f) {
+        f.localGet(y);
+        f.i64Const(65);
+        f.emit(Op::i64_shl);
+        binI64(f, 100, Op::i64_shr_s, Op::i64_xor);
+        binI64(f, 64, Op::i64_shr_u, Op::i64_xor);
+        binI64(f, 70, Op::i64_rotl, Op::i64_xor);
+        binI64(f, 127, Op::i64_rotr, Op::i64_xor);
+        binI64(f, k2p63, Op::i64_shl, Op::i64_add);
+        binI64(f, k2p31, Op::i64_add, Op::i64_xor);
+        binI64(f, kMinus2p31m1, Op::i64_sub, Op::i64_xor);
+        binI64(f, k2p63, Op::i64_mul, Op::i64_xor);
+        binI64(f, k2p63, Op::i64_and, Op::i64_xor);
+        binI64(f, k2p31, Op::i64_or, Op::i64_xor);
+        binI64(f, kMinus2p31m1, Op::i64_xor, Op::i64_xor);
+        binI64(f, -5, Op::i64_add, Op::i64_xor);
+        binI64(f, 30, Op::i64_mul, Op::i64_xor);
+        binI64(f, -3, Op::i64_mul, Op::i64_add);
+        binI64(f, -k2p31, Op::i64_and, Op::i64_xor);
+        binI64(f, k2p31 - 1, Op::i64_sub, Op::i64_xor);
+        const std::pair<int64_t, Op> cmps[] = {
+            {k2p31, Op::i64_lt_s}, {k2p31, Op::i64_lt_u},
+            {k2p63, Op::i64_eq}, {-1, Op::i64_gt_u},
+            {kMinus2p31m1, Op::i64_ge_s}, {-k2p31, Op::i64_le_s},
+            {0, Op::i64_ne}, {7, Op::i64_le_u}};
+        for (const auto& [k, op] : cmps) {
+            f.i64Const(1);
+            f.emit(Op::i64_shl);
+            f.localGet(y);
+            f.i64Const(k);
+            f.emit(op);
+            f.emit(Op::i64_extend_i32_u);
+            f.emit(Op::i64_or);
+        }
+    });
+
+    // Compare-with-immediate feeding br_if (jump_if) and if
+    // (jump_if_zero), signed and unsigned; register compares feeding a
+    // branch; a counted loop whose back edge compares with an immediate.
+    add("branches", [&](FunctionBuilder& f) {
+        uint32_t acc = f.addLocal(ValType::i32);
+        uint32_t i = f.addLocal(ValType::i32);
+        auto setBit = [&](int32_t bit) {
+            f.localGet(acc);
+            f.i32Const(bit);
+            f.emit(Op::i32_or);
+            f.localSet(acc);
+        };
+        f.i32Const(0);
+        f.localSet(acc);
+        auto skipUnless = [&](auto cond, int32_t bit) {
+            auto b = f.block();
+            cond();
+            f.brIf(b);
+            setBit(bit);
+            f.end();
+        };
+        auto ifElse = [&](auto cond, int32_t then_bit, int32_t else_bit) {
+            cond();
+            f.ifElse();
+            setBit(then_bit);
+            if (else_bit != 0) {
+                f.elseBranch();
+                setBit(else_bit);
+            }
+            f.end();
+        };
+        auto cmp32 = [&](int32_t k, Op op) {
+            return [&f, k, op] {
+                f.localGet(x);
+                f.i32Const(k);
+                f.emit(op);
+            };
+        };
+        auto cmp64 = [&](int64_t k, Op op) {
+            return [&f, k, op] {
+                f.localGet(y);
+                f.i64Const(k);
+                f.emit(op);
+            };
+        };
+        skipUnless(cmp32(-7, Op::i32_lt_s), 1);
+        skipUnless(cmp32(100, Op::i32_lt_u), 2);
+        ifElse(cmp32(-3, Op::i32_ge_s), 4, 8);
+        ifElse(cmp32(5, Op::i32_gt_u), 16, 0);
+        skipUnless(cmp64(-1, Op::i64_eq), 32);
+        skipUnless(cmp64(k2p31, Op::i64_lt_s), 64);
+        ifElse(cmp64(7, Op::i64_lt_u), 128, 0);
+        ifElse(cmp64(kMinus2p31m1, Op::i64_gt_s), 256, 0);
+        // (x + 1) <s (x * 2): a fused_cmp_jump on computed operands.
+        skipUnless(
+            [&] {
+                f.localGet(x);
+                f.i32Const(1);
+                f.emit(Op::i32_add);
+                f.localGet(x);
+                f.i32Const(2);
+                f.emit(Op::i32_mul);
+                f.emit(Op::i32_lt_s);
+            },
+            512);
+        ifElse(
+            [&] {
+                f.localGet(y);
+                f.i64Const(1);
+                f.emit(Op::i64_add);
+                f.localGet(y);
+                f.i64Const(3);
+                f.emit(Op::i64_mul);
+                f.emit(Op::i64_ge_u);
+            },
+            1024, 2048);
+        // do { i += 3; acc += 4096 } while (i <u 30)
+        f.i32Const(0);
+        f.localSet(i);
+        auto head = f.loop();
+        f.localGet(acc);
+        f.i32Const(4096);
+        f.emit(Op::i32_add);
+        f.localSet(acc);
+        f.localGet(i);
+        f.i32Const(3);
+        f.emit(Op::i32_add);
+        f.localTee(i);
+        f.i32Const(30);
+        f.emit(Op::i32_lt_u);
+        f.brIf(head);
+        f.end();
+        f.localGet(acc);
+        f.emit(Op::i64_extend_i32_u);
+    });
+
+    // copy+binop where the copied local also feeds the lhs: x op x.
+    add("copysrc", [&](FunctionBuilder& f) {
+        auto same = [&f](uint32_t local, Op op) {
+            f.localGet(local);
+            f.localGet(local);
+            f.emit(op);
+        };
+        same(x, Op::i32_sub);
+        same(x, Op::i32_mul);
+        f.emit(Op::i32_xor);
+        same(x, Op::i32_shl);
+        f.emit(Op::i32_xor);
+        same(x, Op::i32_lt_s);
+        f.emit(Op::i32_xor);
+        f.emit(Op::i64_extend_i32_u);
+        same(y, Op::i64_sub);
+        f.emit(Op::i64_xor);
+        same(y, Op::i64_mul);
+        f.emit(Op::i64_xor);
+        same(y, Op::i64_or);
+        f.emit(Op::i64_add);
+        same(z, Op::f64_sub);
+        same(z, Op::f64_mul);
+        f.emit(Op::f64_add);
+        same(z, Op::f64_div);
+        f.emit(Op::f64_add);
+        f.emit(Op::i64_reinterpret_f64);
+        f.emit(Op::i64_xor);
+    });
+
+    // load+binop pairs (the tests call them at and one byte past the end
+    // of memory): lhs op load(addr + offset), twice.
+    auto addLoad = [&](const char* name, uint32_t lhs, Op load,
+                       uint32_t offset, Op op1, Op op2) {
+        add(name, [=](FunctionBuilder& f) {
+            if (lhs == x || lhs == y || lhs == z)
+                f.localGet(lhs);
+            else
+                f.f32Const(2.5f);
+            f.localGet(addr);
+            f.memOp(load, offset);
+            f.emit(op1);
+            f.localGet(addr);
+            f.memOp(load, offset);
+            f.emit(op2);
+            if (load == Op::i32_load) {
+                f.emit(Op::i64_extend_i32_u);
+            } else if (load == Op::f32_load) {
+                f.emit(Op::i32_reinterpret_f32);
+                f.emit(Op::i64_extend_i32_u);
+            } else if (load == Op::f64_load) {
+                f.emit(Op::i64_reinterpret_f64);
+            }
+        });
+    };
+    addLoad("load_i32", x, Op::i32_load, 0, Op::i32_add, Op::i32_sub);
+    addLoad("load_i64", y, Op::i64_load, 0, Op::i64_xor, Op::i64_sub);
+    addLoad("load_f32", addr, Op::f32_load, 0, Op::f32_div, Op::f32_add);
+    addLoad("load_f64", z, Op::f64_load, 0, Op::f64_mul, Op::f64_sub);
+    addLoad("load_f64_off16", z, Op::f64_load, 16, Op::f64_add,
+            Op::f64_mul);
+    return mb.build();
+}
+
+/** Outcome of one call as comparable bits: trap kind, then the i64. */
+std::pair<TrapKind, uint64_t>
+runEdge(Instance& inst, const std::string& name,
+        const std::vector<Value>& args)
+{
+    rt::CallOutcome out = inst.callExport(name, args);
+    if (!out.ok())
+        return {out.trap, 0};
+    return {TrapKind::none, out.results[0].i64};
+}
+
+TEST(Fusion, NativeFormsMatchUnoptimizedInterpreterOnEdgeCases)
+{
+    if (!jit::jitSupported())
+        GTEST_SKIP() << "JIT unsupported on this CPU";
+    const int32_t xs[] = {0, 1, -1, 5, -7, INT32_MAX, INT32_MIN, 99};
+    const int64_t ys[] = {0, -1, int64_t(1) << 31, -(int64_t(1) << 31) - 1,
+                          INT64_MIN, 7, 0x123456789abcdefll, -3};
+    const double zs[] = {1.5, -2.25, 1e300, 3.0, -0.5, 1e-300, 7.0, 0.75};
+    std::vector<std::vector<Value>> arith_args;
+    for (size_t i = 0; i < 8; i++) {
+        arith_args.push_back({Value::fromI32(uint32_t(xs[i])),
+                              Value::fromI64(uint64_t(ys[i])),
+                              Value::fromF64(zs[i]), Value::fromI32(0)});
+    }
+    // Last in-bounds address, one byte past the end, far out of bounds.
+    struct LoadCall
+    {
+        const char* name;
+        uint32_t lastOk;
+    };
+    const LoadCall loads[] = {{"load_i32", 65532}, {"load_i64", 65528},
+                              {"load_f32", 65532}, {"load_f64", 65528},
+                              {"load_f64_off16", 65512}};
+
+    for (BoundsStrategy strategy : kAllStrategies) {
+        SCOPED_TRACE(mem::boundsStrategyName(strategy));
+        std::unique_ptr<Instance> insts[2];
+        for (int opt = 0; opt < 2; opt++) {
+            EngineConfig config;
+            config.kind = opt ? EngineKind::jit_opt : EngineKind::interp_switch;
+            config.strategy = strategy;
+            config.optimizeLoweredIR = opt != 0;
+            Engine engine(config);
+            auto compiled = engine.compile(fusedEdgeModule());
+            ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+            if (opt) {
+                EXPECT_GT(compiled.value()->optStats().instsFused, 0u);
+            }
+            auto inst = Instance::create(compiled.takeValue());
+            ASSERT_TRUE(inst.isOk());
+            insts[opt] = inst.takeValue();
+        }
+        // Runs both variants of an export on both engines; returns the
+        // reference outcome's trap kind (the same for both variants).
+        auto expectSame = [&](const std::string& name,
+                              const std::vector<Value>& args) {
+            TrapKind trap = TrapKind::none;
+            for (const std::string& variant : {name, name + "_deep"}) {
+                auto want = runEdge(*insts[0], variant, args);
+                auto got = runEdge(*insts[1], variant, args);
+                EXPECT_EQ(got.first, want.first) << variant;
+                EXPECT_EQ(got.second, want.second) << variant;
+                trap = want.first;
+            }
+            return trap;
+        };
+        for (const auto& args : arith_args) {
+            for (const char* name : {"imm32", "imm64", "branches", "copysrc"})
+                EXPECT_EQ(expectSame(name, args), TrapKind::none) << name;
+        }
+        for (const LoadCall& load : loads) {
+            for (uint32_t a : {0u, 64u, load.lastOk, load.lastOk + 1,
+                               0xFFFFFFF0u}) {
+                std::vector<Value> args = arith_args[3];
+                args[3] = Value::fromI32(a);
+                TrapKind trap = expectSame(load.name, args);
+                // Clamp redirects instead of trapping, and none does
+                // not check at all (the reservation stays readable).
+                bool traps = a > load.lastOk &&
+                             strategy != BoundsStrategy::clamp &&
+                             strategy != BoundsStrategy::none;
+                EXPECT_EQ(trap, traps ? TrapKind::out_of_bounds_memory
+                                      : TrapKind::none)
+                    << load.name << " " << a;
+            }
+        }
     }
 }
 
@@ -729,6 +1117,78 @@ TEST(Criterion, RetiredChecksDropAtLeast60PercentOnAffineKernel)
     EXPECT_LE(retired[1] * 10, retired[0] * 4)
         << "opt-off retired " << retired[0] << ", opt-on retired "
         << retired[1];
+}
+
+/**
+ * acc *= mem[base + i*8] (f64) for i in [0, n): the body's f64.load feeds
+ * f64.mul directly, so fusion turns the pair into a fused_load_binop
+ * that must keep the load's versioning hint.
+ */
+Module
+affineProductModule()
+{
+    ModuleBuilder mb;
+    mb.addMemory(1, 1);
+    uint32_t t = mb.addType({ValType::i32, ValType::i32}, {ValType::f64});
+    auto& f = mb.addFunction(t); // params: base, n
+    f.addLocal(ValType::i32); // local 2: i
+    f.addLocal(ValType::f64); // local 3: acc
+    f.f64Const(1.0);
+    f.localSet(3);
+    auto exit = f.block();
+    f.localGet(1);
+    f.emit(Op::i32_eqz);
+    f.brIf(exit);
+    auto head = f.loop();
+    f.localGet(3);
+    f.localGet(0);
+    f.localGet(2);
+    f.i32Const(3);
+    f.emit(Op::i32_shl); // i * 8
+    f.emit(Op::i32_add);
+    f.memOp(Op::f64_load, 0);
+    f.emit(Op::f64_mul);
+    f.localSet(3);
+    f.localGet(2);
+    f.i32Const(1);
+    f.emit(Op::i32_add);
+    f.localTee(2);
+    f.localGet(1);
+    f.emit(Op::i32_lt_u);
+    f.brIf(head);
+    f.end(); // loop
+    f.end(); // block
+    f.localGet(3);
+    uint32_t idx = f.finish();
+    mb.exportFunc("run", idx);
+    return mb.build();
+}
+
+TEST(Versioning, FusedLoadKeepsItsVersioningHint)
+{
+    if (!jit::jitSupported())
+        GTEST_SKIP() << "JIT unsupported on this CPU";
+    EngineConfig config;
+    config.kind = EngineKind::jit_opt;
+    config.strategy = BoundsStrategy::trap;
+    config.countRetiredChecks = true;
+    Engine engine(config);
+    auto compiled = engine.compile(affineProductModule());
+    ASSERT_TRUE(compiled.isOk());
+    EXPECT_GE(compiled.value()->optStats().loopsVersioned, 1u);
+    bool fused_load = false;
+    for (const LInst& inst : compiled.value()->lowered().funcs[0].code) {
+        if (!inst.isWasmOp() && inst.lop() == LOp::fused_load_binop)
+            fused_load = true;
+    }
+    EXPECT_TRUE(fused_load);
+    auto inst = Instance::create(compiled.takeValue());
+    ASSERT_TRUE(inst.isOk());
+    auto out = inst.value()->callExport(
+        "run", {Value::fromI32(0), Value::fromI32(1000)});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(inst.value()->guardFallbacks(), 0u);
+    EXPECT_EQ(inst.value()->checksRetired(), 0u);
 }
 
 // ---------------------------------------------------------------------
