@@ -1,10 +1,12 @@
 #include "jit/compiler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cpuid.h>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -269,30 +271,47 @@ hasMemOperandForm(Op load, Op binop)
 //
 //   rbp  InstanceContext*                        (pinned, callee-saved)
 //   r15  frame base (cells) in the value stack   (pinned, callee-saved)
-//   rbx, r12, r13        integer homes of stack slots 0..2
-//   xmm8, xmm9, xmm10    float homes of stack slots 0..2
-//   r14, r8, r9, r10 /
-//   xmm11..xmm14         homes of the first four locals
-//   rax, rcx, rdx, rsi, rdi, r11, xmm0-xmm5   scratch
+//   rbx, r12, r13, r14, r8   integer homes of stack slots 0..4
+//   xmm2..xmm6               float homes of stack slots 0..4
+//   r9, r10, r11, rsi, rdi   integer local homes
+//   xmm7..xmm15              float local homes
+//   rax, rcx, rdx, xmm0, xmm1   scratch
+//
+// Of the homes only rbx/r12/r13/r14 survive a native call; every other
+// home holding a live value is spilled to its frame cell before the call
+// and reloaded after it (spillLiveHomes / reloadLiveHomes).
 // ---------------------------------------------------------------------
 
 constexpr Reg kCtxReg = rbp;
 constexpr Reg kFrameReg = r15;
 
 /**
- * Register-home pools. Indices 0..2 are the homes of operand-stack slots
- * 0..2 (dual-class: a slot holds ints or floats depending on the program
- * point). Indices 3..6 are assigned to the function's first four locals;
- * a local uses the pool register of its own class (the cross-class
- * register of that index stays idle). rbx/r12/r13/r14 are callee-saved;
- * r8/r9/r10 and every xmm are caller-saved and spilled around native
- * calls.
+ * Stack slot s lives in kSlotGpr[s] while it holds an integer and in
+ * kSlotXmm[s] while it holds a float (a slot's class changes with the
+ * program point; the lowering's float-live masks say which it is at a
+ * call). The local pools go to the function's locals, each local taking
+ * a register of its own class, hottest first (assignLocalHomes).
  */
-constexpr Reg kSlotGpr[7] = {rbx, r12, r13, r14, r8, r9, r10};
-constexpr Xmm kSlotXmm[7] = {xmm8, xmm9, xmm10, xmm11, xmm12, xmm13, xmm14};
+constexpr Reg kSlotGpr[] = {rbx, r12, r13, r14, r8};
+constexpr Xmm kSlotXmm[] = {xmm2, xmm3, xmm4, xmm5, xmm6};
+constexpr Reg kLocalGpr[] = {r9, r10, r11, rsi, rdi};
+constexpr Xmm kLocalXmm[] = {xmm7,  xmm8,  xmm9,  xmm10, xmm11,
+                             xmm12, xmm13, xmm14, xmm15};
 /** Stack slots with register homes (the lowering's float masks match). */
 constexpr int kNumSlotRegs = int(wasm::kRegisterSlots);
-constexpr int kNumLocalRegs = 4; ///< locals with register homes
+static_assert(std::size(kSlotGpr) == wasm::kRegisterSlots &&
+              std::size(kSlotXmm) == wasm::kRegisterSlots);
+/** Homes a native call can clobber: slot 4's gpr, the slot xmms and
+ * both local pools (sizes the per-call spill code). */
+constexpr size_t kCallerSavedHomes =
+    1 + std::size(kSlotXmm) + std::size(kLocalGpr) + std::size(kLocalXmm);
+
+/** Whether @p reg keeps its value across a SysV call. */
+constexpr bool
+calleeSaved(Reg reg)
+{
+    return reg == rbx || reg == r12 || reg == r13 || reg == r14;
+}
 
 Mem
 ctxField(size_t offset)
@@ -309,6 +328,36 @@ RC
 classOf(ValType t)
 {
     return wasm::isFloatType(t) ? RC::fpr : RC::gpr;
+}
+
+/** Whether @p inst compiles to a call out of generated code (so the
+ * caller-saved homes live across it are spilled and reloaded). */
+bool
+isNativeCall(const LInst& inst, bool shared_memory)
+{
+    if (!inst.isWasmOp()) {
+        LOp op = inst.lop();
+        return op == LOp::callf || op == LOp::call_host || op == LOp::calli;
+    }
+    Op op = inst.wasmOp();
+    return op == Op::memory_grow || op == Op::memory_copy ||
+           op == Op::memory_fill || wasm::isAtomicOp(op) ||
+           (op == Op::memory_size && shared_memory);
+}
+
+/** Code-buffer bytes enough for @p func: a generous per-instruction
+ * expansion, the prologue's per-local setup, and at every possible
+ * native call a spill and a reload of each caller-saved home (at most
+ * 10 bytes a move). */
+size_t
+codeSizeEstimate(const LoweredFunc& func)
+{
+    size_t estimate = func.code.size() * 96 + func.numLocalCells * 16 + 512;
+    for (const LInst& inst : func.code) {
+        if (isNativeCall(inst, true))
+            estimate += kCallerSavedHomes * 2 * 10;
+    }
+    return estimate;
 }
 
 /** IEEE-754 bit-pattern constants used by conversion sequences. */
@@ -343,7 +392,6 @@ class FunctionCompiler
           funcLabels_(func_labels),
           checkRanges_(check_ranges)
     {
-        assignLocalHomes();
         for (uint32_t pc : func_.elidableCheckPcs)
             elideHints_.insert(pc);
         for (uint32_t i = 0; i < func_.entryCheckFacts.size(); i++) {
@@ -359,28 +407,25 @@ class FunctionCompiler
 
   private:
     // ----- home resolution -----
-    /** Pool index of the cell's register home, or -1 for memory. */
+    /** Register number of the cell's home while it holds a value of
+     * class @p rc, or -1 when that value lives in its frame cell. A
+     * local has a home in its own class only. */
     int
-    slotRegIndex(uint32_t cell) const
+    home(uint32_t cell, RC rc) const
     {
-        if (cell < func_.numLocalCells)
-            return localHome_[cell];
-        uint32_t s = cell - func_.numLocalCells;
-        return s < uint32_t(kNumSlotRegs) ? int(s) : -1;
-    }
-
-    void
-    assignLocalHomes()
-    {
-        localHome_.assign(func_.numLocalCells, -1);
-        int next = kNumSlotRegs;
-        for (uint32_t i = 0;
-             i < func_.numLocalCells &&
-             next < kNumSlotRegs + kNumLocalRegs;
-             i++) {
-            localHome_[i] = int8_t(next++);
+        if (cell < func_.numLocalCells) {
+            return classOf(func_.localTypes[cell]) == rc ? localHome_[cell]
+                                                         : -1;
         }
+        uint32_t s = cell - func_.numLocalCells;
+        if (s >= uint32_t(kNumSlotRegs))
+            return -1;
+        return rc == RC::gpr ? int(kSlotGpr[s]) : int(kSlotXmm[s]);
     }
+    int gprHome(uint32_t cell) const { return home(cell, RC::gpr); }
+    int xmmHome(uint32_t cell) const { return home(cell, RC::fpr); }
+
+    void assignLocalHomes();
     Mem cellMem(uint32_t cell) const
     {
         return Mem{kFrameReg, int32_t(cell * 8)};
@@ -389,27 +434,27 @@ class FunctionCompiler
     void
     loadGpr32(Reg dst, uint32_t cell)
     {
-        int s = slotRegIndex(cell);
-        if (s >= 0)
-            as_.movRR32(dst, kSlotGpr[s]);
+        int h = gprHome(cell);
+        if (h >= 0)
+            as_.movRR32(dst, Reg(h));
         else
             as_.movRM32(dst, cellMem(cell));
     }
     void
     loadGpr64(Reg dst, uint32_t cell)
     {
-        int s = slotRegIndex(cell);
-        if (s >= 0)
-            as_.movRR64(dst, kSlotGpr[s]);
+        int h = gprHome(cell);
+        if (h >= 0)
+            as_.movRR64(dst, Reg(h));
         else
             as_.movRM64(dst, cellMem(cell));
     }
     void
     storeGpr32(uint32_t cell, Reg src)
     {
-        int s = slotRegIndex(cell);
-        if (s >= 0)
-            as_.movRR32(kSlotGpr[s], src);
+        int h = gprHome(cell);
+        if (h >= 0)
+            as_.movRR32(Reg(h), src);
         else
             as_.movMR32(cellMem(cell), src);
         invalidate(cell);
@@ -417,9 +462,9 @@ class FunctionCompiler
     void
     storeGpr64(uint32_t cell, Reg src)
     {
-        int s = slotRegIndex(cell);
-        if (s >= 0)
-            as_.movRR64(kSlotGpr[s], src);
+        int h = gprHome(cell);
+        if (h >= 0)
+            as_.movRR64(Reg(h), src);
         else
             as_.movMR64(cellMem(cell), src);
         invalidate(cell);
@@ -427,27 +472,27 @@ class FunctionCompiler
     void
     loadXmm32(Xmm dst, uint32_t cell)
     {
-        int s = slotRegIndex(cell);
-        if (s >= 0)
-            as_.movapsRR(dst, kSlotXmm[s]);
+        int h = xmmHome(cell);
+        if (h >= 0)
+            as_.movapsRR(dst, Xmm(h));
         else
             as_.movssRM(dst, cellMem(cell));
     }
     void
     loadXmm64(Xmm dst, uint32_t cell)
     {
-        int s = slotRegIndex(cell);
-        if (s >= 0)
-            as_.movapsRR(dst, kSlotXmm[s]);
+        int h = xmmHome(cell);
+        if (h >= 0)
+            as_.movapsRR(dst, Xmm(h));
         else
             as_.movsdRM(dst, cellMem(cell));
     }
     void
     storeXmm32(uint32_t cell, Xmm src)
     {
-        int s = slotRegIndex(cell);
-        if (s >= 0)
-            as_.movapsRR(kSlotXmm[s], src);
+        int h = xmmHome(cell);
+        if (h >= 0)
+            as_.movapsRR(Xmm(h), src);
         else
             as_.movssMR(cellMem(cell), src);
         invalidate(cell);
@@ -455,9 +500,9 @@ class FunctionCompiler
     void
     storeXmm64(uint32_t cell, Xmm src)
     {
-        int s = slotRegIndex(cell);
-        if (s >= 0)
-            as_.movapsRR(kSlotXmm[s], src);
+        int h = xmmHome(cell);
+        if (h >= 0)
+            as_.movapsRR(Xmm(h), src);
         else
             as_.movsdMR(cellMem(cell), src);
         invalidate(cell);
@@ -465,109 +510,84 @@ class FunctionCompiler
     void
     loadBits64(Reg dst, uint32_t cell, RC rc)
     {
-        int s = slotRegIndex(cell);
-        if (s < 0) {
+        int h = home(cell, rc);
+        if (h < 0)
             as_.movRM64(dst, cellMem(cell));
-        } else if (rc == RC::gpr) {
-            as_.movRR64(dst, kSlotGpr[s]);
-        } else {
-            as_.movqRX(dst, kSlotXmm[s]);
-        }
+        else if (rc == RC::gpr)
+            as_.movRR64(dst, Reg(h));
+        else
+            as_.movqRX(dst, Xmm(h));
     }
     void
     storeBits64(uint32_t cell, Reg src, RC rc)
     {
-        int s = slotRegIndex(cell);
-        if (s < 0) {
+        int h = home(cell, rc);
+        if (h < 0)
             as_.movMR64(cellMem(cell), src);
-        } else if (rc == RC::gpr) {
-            as_.movRR64(kSlotGpr[s], src);
-        } else {
-            as_.movqXR(kSlotXmm[s], src);
-        }
+        else if (rc == RC::gpr)
+            as_.movRR64(Reg(h), src);
+        else
+            as_.movqXR(Xmm(h), src);
         invalidate(cell);
     }
 
-    /** Write the cell's register home back to its memory slot (calls). */
+    /** Write the cell's register home back to its frame cell (or, with
+     * @p fill, load the home from it); a no-op for frame-homed cells. */
     void
-    spillCell(uint32_t cell, RC rc)
+    moveHome(uint32_t cell, RC rc, bool fill)
     {
-        int s = slotRegIndex(cell);
-        if (s < 0)
+        int h = home(cell, rc);
+        if (h < 0)
             return;
-        if (rc == RC::gpr)
-            as_.movMR64(cellMem(cell), kSlotGpr[s]);
+        if (rc == RC::gpr && fill)
+            as_.movRM64(Reg(h), cellMem(cell));
+        else if (rc == RC::gpr)
+            as_.movMR64(cellMem(cell), Reg(h));
+        else if (fill)
+            as_.movsdRM(Xmm(h), cellMem(cell));
         else
-            as_.movsdMR(cellMem(cell), kSlotXmm[s]);
+            as_.movsdMR(cellMem(cell), Xmm(h));
     }
-    /** Load the cell's register home from its memory slot (call results). */
+    /** Materialize a register-homed call argument in its frame cell. */
+    void spillCell(uint32_t cell, RC rc) { moveHome(cell, rc, false); }
+    /** Load a call result into the cell's home. */
     void
     fillCell(uint32_t cell, RC rc)
     {
-        int s = slotRegIndex(cell);
-        if (s < 0)
-            return;
-        if (rc == RC::gpr)
-            as_.movRM64(kSlotGpr[s], cellMem(cell));
-        else
-            as_.movsdRM(kSlotXmm[s], cellMem(cell));
+        moveHome(cell, rc, true);
         invalidate(cell);
     }
 
     /**
-     * Spill/reload the caller-saved register homes around a native call:
-     * live float *slot* registers (per the lowering's mask) plus every
-     * local home living in a caller-saved register (all xmm homes, and
-     * the gpr homes beyond r13/r14).
+     * Spill (or, with @p reload, refill) every caller-saved home that
+     * holds a live value across a native call whose operands start at
+     * cell @p first: the float slots in the lowering's @p float_mask,
+     * the integer slots below @p first whose gpr is caller-saved, and
+     * every homed local. The callee's frame starts at or above @p first,
+     * so the frame cells written here are the caller's own.
      */
-    bool
-    localHomeIsCallClobbered(uint32_t cell) const
-    {
-        int h = localHome_[cell];
-        if (h < 0)
-            return false;
-        if (wasm::isFloatType(func_.localTypes[cell]))
-            return true; // xmm registers are caller-saved
-        Reg reg = kSlotGpr[h];
-        return reg == r8 || reg == r9 || reg == r10;
-    }
     void
-    spillFloatMask(uint16_t mask)
+    saveLiveHomes(uint32_t first, uint16_t float_mask, bool reload)
     {
         for (int s = 0; s < kNumSlotRegs; s++) {
-            if (mask & (1u << s)) {
-                uint32_t cell = func_.numLocalCells + uint32_t(s);
-                as_.movsdMR(cellMem(cell), kSlotXmm[s]);
-            }
+            uint32_t cell = func_.numLocalCells + uint32_t(s);
+            if (float_mask & (1u << s))
+                moveHome(cell, RC::fpr, reload);
+            else if (cell < first && !calleeSaved(kSlotGpr[s]))
+                moveHome(cell, RC::gpr, reload);
         }
-        for (uint32_t i = 0; i < func_.numLocalCells; i++) {
-            if (!localHomeIsCallClobbered(i))
-                continue;
-            int h = localHome_[i];
-            if (wasm::isFloatType(func_.localTypes[i]))
-                as_.movsdMR(cellMem(i), kSlotXmm[h]);
-            else
-                as_.movMR64(cellMem(i), kSlotGpr[h]);
-        }
+        for (uint32_t local : homedLocals_)
+            moveHome(local, classOf(func_.localTypes[local]), reload);
     }
     void
-    reloadFloatMask(uint16_t mask)
+    spillLiveHomes(uint32_t first, uint16_t float_mask)
     {
-        for (int s = 0; s < kNumSlotRegs; s++) {
-            if (mask & (1u << s)) {
-                uint32_t cell = func_.numLocalCells + uint32_t(s);
-                as_.movsdRM(kSlotXmm[s], cellMem(cell));
-            }
-        }
-        for (uint32_t i = 0; i < func_.numLocalCells; i++) {
-            if (!localHomeIsCallClobbered(i))
-                continue;
-            int h = localHome_[i];
-            if (wasm::isFloatType(func_.localTypes[i]))
-                as_.movsdRM(kSlotXmm[h], cellMem(i));
-            else
-                as_.movRM64(kSlotGpr[h], cellMem(i));
-        }
+        saveLiveHomes(first, float_mask, false);
+    }
+    void
+    reloadLiveHomes(uint32_t first, uint16_t float_mask)
+    {
+        saveLiveHomes(first, float_mask, true);
     }
 
     // ----- trap islands -----
@@ -612,7 +632,7 @@ class FunctionCompiler
     /** The poll's cold target: hand the context to the noreturn
      * lnbJitInterrupt glue, which raises the requested trap via
      * siglongjmp. Because nothing returns here, the call is safe even
-     * though XMM-homed locals are caller-saved. */
+     * though most register homes are caller-saved. */
     void
     emitInterruptIsland()
     {
@@ -696,8 +716,8 @@ class FunctionCompiler
 
     /**
      * Compute the accessible address for a memory access: returns a Mem
-     * operand ready for the load/store. Address scratch: rax (+rcx);
-     * clobbers rsi.
+     * operand ready for the load/store. Address scratch: rax (+rcx); the
+     * memory base is added straight from the context.
      */
     Mem
     emitAddress(const LInst& inst, unsigned access_size)
@@ -712,8 +732,7 @@ class FunctionCompiler
             // displacement when it fits; the 8 GiB reservation absorbs
             // the worst case (2^32-1 base + 2^32-1 offset).
             jitMetrics().guardAccessesEmitted.add();
-            as_.movRM64(rsi, CTX_FIELD(memBase));
-            as_.addRR64(rax, rsi);
+            as_.aluRM64(0x00, rax, CTX_FIELD(memBase));
             if (offset <= 0x7FFFFF00ull)
                 return Mem{rax, int32_t(offset)};
             as_.movRI32(rcx, uint32_t(offset));
@@ -759,8 +778,7 @@ class FunctionCompiler
             }
             recordCheckRange(check_begin);
         }
-        as_.movRM64(rsi, CTX_FIELD(memBase));
-        as_.addRR64(rax, rsi);
+        as_.aluRM64(0x00, rax, CTX_FIELD(memBase));
         return Mem{rax, 0};
     }
 
@@ -826,13 +844,16 @@ class FunctionCompiler
      * the profiler code map; null when symbolization is not wanted. */
     std::vector<std::pair<uint32_t, uint32_t>>* checkRanges_ = nullptr;
 
-    /** Pool index per local cell, -1 = memory home. */
+    /** Register number per local cell, -1 = frame home. */
     std::vector<int8_t> localHome_;
+    /** Register-homed locals (all in caller-saved registers). */
+    std::vector<uint32_t> homedLocals_;
     std::vector<Label> pcLabels_;
     std::unordered_set<uint32_t> jumpTargets_;
-    /** Targets of at least one backward jump (loop headers): the epoch
-     * poll sites. Subset of jumpTargets_. */
-    std::unordered_set<uint32_t> backEdgeTargets_;
+    /** Loop header (target of at least one backward jump: an epoch
+     * poll site) -> pc of its last back edge. Keys are a subset of
+     * jumpTargets_. */
+    std::unordered_map<uint32_t, uint32_t> loopEnds_;
     std::unordered_map<uint8_t, Label> trapLabels_;
     /** Per-function epoch-interrupt island (lazily created; id -1 when no
      * poll was emitted). */
@@ -882,14 +903,14 @@ FunctionCompiler::emitPrologue()
             if (h < 0)
                 continue;
             if (is_float)
-                as_.movsdRM(kSlotXmm[h], cellMem(i));
+                as_.movsdRM(Xmm(h), cellMem(i));
             else
-                as_.movRM64(kSlotGpr[h], cellMem(i));
+                as_.movRM64(Reg(h), cellMem(i));
         } else if (h >= 0) {
             if (is_float)
-                as_.pxor(kSlotXmm[h], kSlotXmm[h]);
+                as_.pxor(Xmm(h), Xmm(h));
             else
-                as_.xorRR32(kSlotGpr[h], kSlotGpr[h]);
+                as_.xorRR32(Reg(h), Reg(h));
         } else {
             as_.movMI64(cellMem(i), 0);
         }
@@ -914,6 +935,65 @@ FunctionCompiler::emitEpilogue()
     as_.ret();
 }
 
+/**
+ * Give the hottest locals the local pools' registers, each from the pool
+ * of its own class. A local's heat is its static use count with every
+ * use weighted 8^depth by the loops around it (a loop spans its header
+ * to its last back edge; locals are only read and written by copies).
+ * Each native call spills and reloads every homed local, so a local is
+ * homed only while its heat exceeds twice that of the calls.
+ */
+void
+FunctionCompiler::assignLocalHomes()
+{
+    const uint32_t num_locals = func_.numLocalCells;
+    localHome_.assign(num_locals, -1);
+    std::vector<int32_t> depth_delta(func_.code.size() + 1, 0);
+    for (const auto& [header, end] : loopEnds_) {
+        depth_delta[header]++;
+        depth_delta[end + 1]--;
+    }
+    std::vector<uint64_t> heat(num_locals, 0);
+    uint64_t call_heat = 0;
+    int32_t depth = 0;
+    for (uint32_t pc = 0; pc < func_.code.size(); pc++) {
+        depth += depth_delta[pc];
+        const uint64_t weight = uint64_t(1) << (3 * std::min(depth, 6));
+        const LInst& inst = func_.code[pc];
+        auto use = [&](uint32_t cell) {
+            if (cell < num_locals)
+                heat[cell] += weight;
+        };
+        if (isNativeCall(inst, opts_.sharedMemory)) {
+            call_heat += weight;
+        } else if (inst.op == uint16_t(LOp::copy)) {
+            use(inst.a);
+            use(inst.b);
+        } else if (inst.op == uint16_t(LOp::fused_copy_binop)) {
+            use(uint32_t(inst.imm >> 32));
+        }
+    }
+
+    std::vector<uint32_t> order(num_locals);
+    for (uint32_t i = 0; i < num_locals; i++)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t x, uint32_t y) { return heat[x] > heat[y]; });
+    size_t gprs = 0, xmms = 0;
+    for (uint32_t local : order) {
+        if (heat[local] <= 2 * call_heat)
+            break; // the rest are colder still
+        if (classOf(func_.localTypes[local]) == RC::gpr) {
+            if (gprs < std::size(kLocalGpr))
+                localHome_[local] = int8_t(kLocalGpr[gprs++]);
+        } else if (xmms < std::size(kLocalXmm)) {
+            localHome_[local] = int8_t(kLocalXmm[xmms++]);
+        }
+        if (localHome_[local] >= 0)
+            homedLocals_.push_back(local);
+    }
+}
+
 void
 FunctionCompiler::compile()
 {
@@ -921,11 +1001,14 @@ FunctionCompiler::compile()
     // block boundaries and labels exist before backward jumps bind.
     pcLabels_.resize(func_.code.size());
     // A target at or before its jump is a loop back edge: those labels
-    // additionally get an epoch poll (the JIT's preemption sites).
+    // additionally get an epoch poll (the JIT's preemption sites), and
+    // the loop they head spans up to their last back edge.
     auto mark = [&](uint32_t pc, uint32_t from) {
         jumpTargets_.insert(pc);
-        if (pc <= from)
-            backEdgeTargets_.insert(pc);
+        if (pc <= from) {
+            uint32_t& end = loopEnds_[pc];
+            end = std::max(end, from);
+        }
     };
     for (uint32_t pc = 0; pc < func_.code.size(); pc++) {
         const LInst& inst = func_.code[pc];
@@ -947,6 +1030,7 @@ FunctionCompiler::compile()
     for (uint32_t pc : jumpTargets_)
         pcLabels_[pc] = as_.newLabel();
 
+    assignLocalHomes();
     emitPrologue();
 
     for (uint32_t pc = 0; pc < func_.code.size(); pc++) {
@@ -961,7 +1045,7 @@ FunctionCompiler::compile()
             // through here, so a spinning loop is preempted within one
             // iteration. The poll has no memory-state effect, so the
             // check cache seeded above stays valid.
-            if (opts_.epochChecks && backEdgeTargets_.count(pc))
+            if (opts_.epochChecks && loopEnds_.count(pc))
                 emitEpochPoll();
         }
         curPc_ = pc;
@@ -1014,23 +1098,23 @@ FunctionCompiler::emitInstr(const LInst& inst)
         RC rc = classOf(ValType(inst.aux));
         if (opts_.optimize) {
             // Move directly between homes when either side is a register.
-            int src = slotRegIndex(inst.a), dst = slotRegIndex(inst.b);
+            int src = home(inst.a, rc), dst = home(inst.b, rc);
             if (rc == RC::gpr) {
                 if (dst >= 0 && src >= 0)
-                    as_.movRR64(kSlotGpr[dst], kSlotGpr[src]);
+                    as_.movRR64(Reg(dst), Reg(src));
                 else if (dst >= 0)
-                    as_.movRM64(kSlotGpr[dst], cellMem(inst.a));
+                    as_.movRM64(Reg(dst), cellMem(inst.a));
                 else if (src >= 0)
-                    as_.movMR64(cellMem(inst.b), kSlotGpr[src]);
+                    as_.movMR64(cellMem(inst.b), Reg(src));
                 else
                     goto copy_generic;
             } else {
                 if (dst >= 0 && src >= 0)
-                    as_.movapsRR(kSlotXmm[dst], kSlotXmm[src]);
+                    as_.movapsRR(Xmm(dst), Xmm(src));
                 else if (dst >= 0)
-                    as_.movsdRM(kSlotXmm[dst], cellMem(inst.a));
+                    as_.movsdRM(Xmm(dst), cellMem(inst.a));
                 else if (src >= 0)
-                    as_.movsdMR(cellMem(inst.b), kSlotXmm[src]);
+                    as_.movsdMR(cellMem(inst.b), Xmm(src));
                 else
                     goto copy_generic;
             }
@@ -1153,9 +1237,9 @@ FunctionCompiler::emitConstBinopNative(const LInst& inst)
          int64_t(inst.imm) != int64_t(imm)))
         return false;
 
-    int sa = slotRegIndex(inst.a);
-    Reg r = sa >= 0 ? kSlotGpr[sa] : rax;
-    if (sa < 0) {
+    int ha = gprHome(inst.a);
+    Reg r = ha >= 0 ? Reg(ha) : rax;
+    if (ha < 0) {
         if (form.is64)
             loadGpr64(rax, inst.a);
         else
@@ -1204,7 +1288,7 @@ FunctionCompiler::emitConstBinopNative(const LInst& inst)
         storeGpr32(inst.a, rax);
         return true;
     }
-    if (sa >= 0)
+    if (ha >= 0)
         invalidate(inst.a);
     else if (form.is64)
         storeGpr64(inst.a, rax);
@@ -1224,19 +1308,19 @@ FunctionCompiler::emitCmpJumpNative(const LInst& inst)
         !intCompare(Op(inst.aux), is64, cond))
         return false;
     uint32_t rhs = uint32_t(inst.imm >> 1);
-    int sl = slotRegIndex(inst.b), sr = slotRegIndex(rhs);
-    Reg lhs = sl >= 0 ? kSlotGpr[sl] : rax;
-    if (sl < 0) {
+    int hl = gprHome(inst.b), hr = gprHome(rhs);
+    Reg lhs = hl >= 0 ? Reg(hl) : rax;
+    if (hl < 0) {
         if (is64)
             loadGpr64(rax, inst.b);
         else
             loadGpr32(rax, inst.b);
     }
-    if (sr >= 0) {
+    if (hr >= 0) {
         if (is64)
-            as_.cmpRR64(lhs, kSlotGpr[sr]);
+            as_.cmpRR64(lhs, Reg(hr));
         else
-            as_.cmpRR32(lhs, kSlotGpr[sr]);
+            as_.cmpRR32(lhs, Reg(hr));
     } else if (is64) {
         as_.cmpRM64(lhs, cellMem(rhs));
     } else {
@@ -1282,18 +1366,18 @@ FunctionCompiler::emitLoadBinopNative(const LInst& inst)
 
     // The address lives in rax; a frame-homed lhs stages through rdx or
     // xmm0.
-    int sa = slotRegIndex(inst.a);
     switch (load_op) {
       case Op::f32_load:
       case Op::f64_load: {
         bool is32 = load_op == Op::f32_load;
-        Xmm x = sa >= 0 ? kSlotXmm[sa] : xmm0;
-        if (sa < 0 && is32)
+        int ha = xmmHome(inst.a);
+        Xmm x = ha >= 0 ? Xmm(ha) : xmm0;
+        if (ha < 0 && is32)
             loadXmm32(xmm0, inst.a);
-        else if (sa < 0)
+        else if (ha < 0)
             loadXmm64(xmm0, inst.a);
         as_.sseOpRM(is32 ? 0xF3 : 0xF2, sseArithOpcode(op), x, src);
-        if (sa >= 0)
+        if (ha >= 0)
             invalidate(inst.a);
         else if (is32)
             storeXmm32(inst.a, xmm0);
@@ -1303,16 +1387,17 @@ FunctionCompiler::emitLoadBinopNative(const LInst& inst)
       }
       default: {
         bool is64 = load_op == Op::i64_load;
-        Reg r = sa >= 0 ? kSlotGpr[sa] : rdx;
-        if (sa < 0 && is64)
+        int ha = gprHome(inst.a);
+        Reg r = ha >= 0 ? Reg(ha) : rdx;
+        if (ha < 0 && is64)
             loadGpr64(rdx, inst.a);
-        else if (sa < 0)
+        else if (ha < 0)
             loadGpr32(rdx, inst.a);
         if (is64)
             as_.aluRM64(uint8_t(aluBase(op)), r, src);
         else
             as_.aluRM32(uint8_t(aluBase(op)), r, src);
-        if (sa >= 0)
+        if (ha >= 0)
             invalidate(inst.a);
         else if (is64)
             storeGpr64(inst.a, rdx);
@@ -1331,7 +1416,7 @@ FunctionCompiler::emitCall(const LInst& inst)
     // are the callee's parameter locals, thanks to frame overlap).
     for (size_t i = 0; i < callee.params.size(); i++)
         spillCell(inst.b + uint32_t(i), classOf(callee.params[i]));
-    spillFloatMask(inst.aux);
+    spillLiveHomes(inst.b, inst.aux);
 
     as_.movRR64(rdi, kCtxReg);
     as_.lea(rsi, cellMem(inst.b));
@@ -1352,7 +1437,7 @@ FunctionCompiler::emitCall(const LInst& inst)
         as_.callLabel(funcLabels_[defined]);
     }
 
-    reloadFloatMask(inst.aux);
+    reloadLiveHomes(inst.b, inst.aux);
     if (!callee.results.empty())
         fillCell(inst.b, classOf(callee.results[0]));
     invalidateAllChecks();
@@ -1364,7 +1449,7 @@ FunctionCompiler::emitCallHost(const LInst& inst)
     const wasm::FuncType& callee = mod_.module.funcType(inst.a);
     for (size_t i = 0; i < callee.params.size(); i++)
         spillCell(inst.b + uint32_t(i), classOf(callee.params[i]));
-    spillFloatMask(inst.aux);
+    spillLiveHomes(inst.b, inst.aux);
 
     as_.movRR64(rdi, kCtxReg);
     as_.lea(rsi, cellMem(inst.b));
@@ -1372,7 +1457,7 @@ FunctionCompiler::emitCallHost(const LInst& inst)
     as_.callImmReloc(reinterpret_cast<const void*>(&exec::lnbJitHostCall),
                      RelocKind::glue, kGlueHostCall);
 
-    reloadFloatMask(inst.aux);
+    reloadLiveHomes(inst.b, inst.aux);
     if (!callee.results.empty())
         fillCell(inst.b, classOf(callee.results[0]));
     invalidateAllChecks();
@@ -1404,7 +1489,7 @@ FunctionCompiler::emitCallIndirect(const LInst& inst)
 
     for (uint32_t i = 0; i < nargs; i++)
         spillCell(arg_base + i, classOf(callee.params[i]));
-    spillFloatMask(inst.aux);
+    spillLiveHomes(arg_base, inst.aux);
 
     if (opts_.codeTable != nullptr) {
         // Cross-tier dispatch: index the code table by the entry's
@@ -1416,9 +1501,9 @@ FunctionCompiler::emitCallIndirect(const LInst& inst)
                                                    funcIdx))});
         as_.movRR64(rax, rdx);
         as_.shiftImm64(4, rax, 4); // * sizeof(FuncCode) == 16
-        as_.movRI64Reloc(r11, uint64_t(opts_.codeTable),
+        as_.movRI64Reloc(rcx, uint64_t(opts_.codeTable),
                          RelocKind::codeTable, 0);
-        as_.addRR64(rax, r11);
+        as_.addRR64(rax, rcx);
         as_.movRM64(rax, Mem{rax, 0});
     } else {
         as_.movRM64(rax,
@@ -1428,7 +1513,7 @@ FunctionCompiler::emitCallIndirect(const LInst& inst)
     as_.lea(rsi, cellMem(arg_base));
     as_.callReg(rax);
 
-    reloadFloatMask(inst.aux);
+    reloadLiveHomes(arg_base, inst.aux);
     if (!callee.results.empty())
         fillCell(arg_base, classOf(callee.results[0]));
     invalidateAllChecks();
@@ -1443,10 +1528,11 @@ FunctionCompiler::emitLoad(const LInst& inst)
 
     if (opts_.optimize) {
         // Load straight into the destination's register home.
-        int dst = slotRegIndex(inst.a);
+        bool is_float = op == Op::f32_load || op == Op::f64_load;
+        int dst = is_float ? xmmHome(inst.a) : gprHome(inst.a);
         if (dst >= 0) {
-            Reg hg = kSlotGpr[dst];
-            Xmm hx = kSlotXmm[dst];
+            Reg hg = Reg(dst);
+            Xmm hx = Xmm(dst);
             switch (op) {
               case Op::i32_load: as_.movRM32(hg, src); break;
               case Op::i64_load: as_.movRM64(hg, src); break;
@@ -1537,17 +1623,18 @@ FunctionCompiler::emitStore(const LInst& inst)
     Op op = Op(inst.op);
     unsigned size = wasm::memAccessSize(op);
 
-    // Stage the value first (the address computation clobbers
-    // rax/rcx/rsi); in the optimizing tier a register-homed value is
-    // stored straight from its home (the slot registers survive
-    // emitAddress).
+    // Stage the value first (the address computation clobbers rax/rcx);
+    // in the optimizing tier a register-homed value is stored straight
+    // from its home (homes survive emitAddress).
     bool is_float = op == Op::f32_store || op == Op::f64_store;
-    int sval = opts_.optimize ? slotRegIndex(inst.b) : -1;
+    int hval = !opts_.optimize ? -1
+               : is_float      ? xmmHome(inst.b)
+                               : gprHome(inst.b);
     Reg gval = rdx;
     Xmm xval = xmm0;
-    if (sval >= 0) {
-        gval = kSlotGpr[sval];
-        xval = kSlotXmm[sval];
+    if (hval >= 0) {
+        gval = Reg(hval);
+        xval = Xmm(hval);
     } else if (is_float) {
         if (op == Op::f32_store)
             loadXmm32(xmm0, inst.b);
@@ -1635,8 +1722,10 @@ FunctionCompiler::emitAtomic(const LInst& inst)
         return;
     }
 
-    spillFloatMask(inst.aux);
-    as_.movRR64(rdi, kCtxReg);
+    // Operands sit in stack slots, so their homes are slot registers or
+    // frame cells: rsi/rdx/rcx are no slot's home, and r8 (slot 4's) is
+    // written only after every operand has been read.
+    spillLiveHomes(inst.a, inst.aux);
     loadGpr32(rsi, inst.a); // linear address
     if (shape == 2) {
         // Value/count at the top-of-stack cell.
@@ -1658,6 +1747,7 @@ FunctionCompiler::emitAtomic(const LInst& inst)
         else
             loadGpr32(rcx, inst.a + 2);
     }
+    as_.movRR64(rdi, kCtxReg);
     if (inst.imm <= UINT32_MAX)
         as_.movRI32(r8, uint32_t(inst.imm));
     else
@@ -1666,7 +1756,7 @@ FunctionCompiler::emitAtomic(const LInst& inst)
                         aop, is64, exec::checkModeFor(opts_.strategy)));
     as_.callImmReloc(reinterpret_cast<const void*>(&exec::lnbJitAtomic),
                      RelocKind::glue, kGlueAtomic);
-    reloadFloatMask(inst.aux);
+    reloadLiveHomes(inst.a, inst.aux);
     if (aop != exec::AtomicOp::store)
         storeGpr64(inst.a, rax); // glue returns zero-extended results
     invalidateAllChecks();
@@ -2278,8 +2368,8 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
     switch (op) {
       // ----- constants -----
       case Op::i32_const: {
-        int dst = opts_.optimize ? slotRegIndex(inst.a) : -1;
-        as_.movRI32(dst >= 0 ? kSlotGpr[dst] : rax, uint32_t(inst.imm));
+        int dst = opts_.optimize ? gprHome(inst.a) : -1;
+        as_.movRI32(dst >= 0 ? Reg(dst) : rax, uint32_t(inst.imm));
         if (dst >= 0)
             invalidate(inst.a);
         else
@@ -2287,8 +2377,8 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         return;
       }
       case Op::i64_const: {
-        int dst = opts_.optimize ? slotRegIndex(inst.a) : -1;
-        Reg target = dst >= 0 ? kSlotGpr[dst] : rax;
+        int dst = opts_.optimize ? gprHome(inst.a) : -1;
+        Reg target = dst >= 0 ? Reg(dst) : rax;
         if (inst.imm <= UINT32_MAX)
             as_.movRI32(target, uint32_t(inst.imm));
         else
@@ -2316,12 +2406,12 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         if (opts_.sharedMemory) {
             // Synchronization point on shared memories: the glue
             // refreshes ctx->memSize from the authoritative size word.
-            spillFloatMask(inst.aux);
+            spillLiveHomes(inst.a, inst.aux);
             as_.movRR64(rdi, kCtxReg);
             as_.callImmReloc(
                 reinterpret_cast<const void*>(&exec::lnbJitMemorySize),
                 RelocKind::glue, kGlueMemSize);
-            reloadFloatMask(inst.aux);
+            reloadLiveHomes(inst.a, inst.aux);
             storeGpr32(inst.a, rax);
             invalidateAllChecks();
             return;
@@ -2331,38 +2421,33 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         storeGpr32(inst.a, rax);
         return;
       case Op::memory_grow:
-        spillFloatMask(inst.aux);
-        as_.movRR64(rdi, kCtxReg);
+        spillLiveHomes(inst.a, inst.aux);
         loadGpr32(rsi, inst.a);
+        as_.movRR64(rdi, kCtxReg);
         as_.callImmReloc(
             reinterpret_cast<const void*>(&exec::lnbJitMemoryGrow),
             RelocKind::glue, kGlueMemGrow);
-        reloadFloatMask(inst.aux);
+        reloadLiveHomes(inst.a, inst.aux);
         storeGpr32(inst.a, rax);
         invalidateAllChecks();
         return;
       case Op::memory_copy:
-        spillFloatMask(inst.aux);
-        as_.movRR64(rdi, kCtxReg);
+      case Op::memory_fill: {
+        // As for atomics, the operands (slot homes or frame cells) are
+        // read before rdi is written.
+        bool copy = op == Op::memory_copy;
+        spillLiveHomes(inst.a, inst.aux);
         loadGpr32(rsi, inst.a);
         loadGpr32(rdx, inst.a + 1);
         loadGpr32(rcx, inst.a + 2);
-        as_.callImmReloc(
-            reinterpret_cast<const void*>(&exec::lnbJitMemoryCopy),
-            RelocKind::glue, kGlueMemCopy);
-        reloadFloatMask(inst.aux);
-        return;
-      case Op::memory_fill:
-        spillFloatMask(inst.aux);
         as_.movRR64(rdi, kCtxReg);
-        loadGpr32(rsi, inst.a);
-        loadGpr32(rdx, inst.a + 1);
-        loadGpr32(rcx, inst.a + 2);
         as_.callImmReloc(
-            reinterpret_cast<const void*>(&exec::lnbJitMemoryFill),
-            RelocKind::glue, kGlueMemFill);
-        reloadFloatMask(inst.aux);
+            copy ? reinterpret_cast<const void*>(&exec::lnbJitMemoryCopy)
+                 : reinterpret_cast<const void*>(&exec::lnbJitMemoryFill),
+            RelocKind::glue, copy ? kGlueMemCopy : kGlueMemFill);
+        reloadLiveHomes(inst.a, inst.aux);
         return;
+      }
 
       // ----- parametric / globals -----
       case Op::select: {
@@ -2436,11 +2521,11 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
                 loadGpr32(dst, cell);
         };
         // Optimizing tier: operate directly on the destination home.
-        int sa = slotRegIndex(inst.a), sb = slotRegIndex(inst.b);
-        if (opts_.optimize && sa >= 0) {
-            Reg a = kSlotGpr[sa];
-            if (sb >= 0) {
-                rr(a, kSlotGpr[sb]);
+        int ha = gprHome(inst.a), hb = gprHome(inst.b);
+        if (opts_.optimize && ha >= 0) {
+            Reg a = Reg(ha);
+            if (hb >= 0) {
+                rr(a, Reg(hb));
             } else if (mul) {
                 load(rcx, inst.b);
                 rr(a, rcx);
@@ -2538,12 +2623,12 @@ FunctionCompiler::emitWasmOp(const LInst& inst)
         bool is32 = op <= Op::f32_div;
         uint8_t prefix = is32 ? 0xF3 : 0xF2;
         uint8_t opcode = sseArithOpcode(op);
-        int sa = slotRegIndex(inst.a), sb = slotRegIndex(inst.b);
-        if (opts_.optimize && sa >= 0) {
-            if (sb >= 0)
-                as_.sseOp(prefix, opcode, kSlotXmm[sa], kSlotXmm[sb]);
+        int ha = xmmHome(inst.a), hb = xmmHome(inst.b);
+        if (opts_.optimize && ha >= 0) {
+            if (hb >= 0)
+                as_.sseOp(prefix, opcode, Xmm(ha), Xmm(hb));
             else
-                as_.sseOpRM(prefix, opcode, kSlotXmm[sa], cellMem(inst.b));
+                as_.sseOpRM(prefix, opcode, Xmm(ha), cellMem(inst.b));
             invalidate(inst.a);
             return;
         }
@@ -2842,7 +2927,7 @@ compileModule(const LoweredModule& module, const JitOptions& options)
     // error (callers can retry with bigger estimates if ever needed).
     size_t estimate = 4096;
     for (const LoweredFunc& func : module.funcs)
-        estimate += func.code.size() * 96 + func.numLocalCells * 16 + 512;
+        estimate += codeSizeEstimate(func);
     estimate += module.module.imports.size() * 32;
 
     LNB_ASSIGN_OR_RETURN(auto buffer, CodeBuffer::allocate(estimate));
@@ -2899,8 +2984,7 @@ compileFunction(const LoweredModule& module, uint32_t func_idx,
         return errInvalid("compileFunction requires a code table");
     LNB_TRACE_SCOPE("jit.compile_function");
     const LoweredFunc& func = module.funcByIndex(func_idx);
-    size_t estimate =
-        4096 + func.code.size() * 96 + func.numLocalCells * 16 + 512;
+    size_t estimate = 4096 + codeSizeEstimate(func);
 
     LNB_ASSIGN_OR_RETURN(auto buffer, CodeBuffer::allocate(estimate));
     Assembler as(buffer->data(), buffer->capacity());

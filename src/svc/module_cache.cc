@@ -1,6 +1,8 @@
 #include "svc/module_cache.h"
 
+#include <elf.h>
 #include <fcntl.h>
+#include <link.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -64,12 +66,67 @@ struct CacheFileHeader
 static_assert(sizeof(CacheFileHeader) == 48);
 
 constexpr uint32_t kCacheMagic = 0x43424e4c; // "LNBC"
-constexpr uint32_t kCacheFormatVersion = 2;
+constexpr uint32_t kCacheFormatVersion = 3;
 
+/** dl_iterate_phdr callback: hash the NT_GNU_BUILD_ID note of the loaded
+ * object whose PT_LOAD segments contain the address in @p data (a
+ * uint64_t in: the address, out: the hash or 0). */
+int
+hashBuildIdNote(struct dl_phdr_info* info, size_t, void* data)
+{
+    auto* inout = static_cast<uint64_t*>(data);
+    const uintptr_t self = uintptr_t(*inout);
+    bool contains = false;
+    for (int i = 0; i < info->dlpi_phnum && !contains; i++) {
+        const ElfW(Phdr)& ph = info->dlpi_phdr[i];
+        uintptr_t begin = info->dlpi_addr + ph.p_vaddr;
+        contains = ph.p_type == PT_LOAD && self >= begin &&
+                   self - begin < ph.p_memsz;
+    }
+    if (!contains)
+        return 0;
+    *inout = 0;
+    for (int i = 0; i < info->dlpi_phnum; i++) {
+        const ElfW(Phdr)& ph = info->dlpi_phdr[i];
+        if (ph.p_type != PT_NOTE)
+            continue;
+        const auto* p = reinterpret_cast<const uint8_t*>(info->dlpi_addr +
+                                                         ph.p_vaddr);
+        const uint8_t* end = p + ph.p_memsz;
+        while (size_t(end - p) >= sizeof(ElfW(Nhdr))) {
+            ElfW(Nhdr) note;
+            std::memcpy(&note, p, sizeof note);
+            size_t name_len = (note.n_namesz + 3) & ~size_t(3);
+            size_t desc_len = (note.n_descsz + 3) & ~size_t(3);
+            const uint8_t* name = p + sizeof note;
+            if (size_t(end - name) < name_len + desc_len)
+                break;
+            if (note.n_type == NT_GNU_BUILD_ID && note.n_namesz == 4 &&
+                std::memcmp(name, "GNU", 4) == 0 && note.n_descsz != 0) {
+                *inout = contentHash64(name + name_len, note.n_descsz);
+                return 1;
+            }
+            p = name + name_len + desc_len;
+        }
+    }
+    return 1;
+}
+
+/**
+ * Identity of the binary, so artifacts never cross builds: the linker's
+ * GNU build-id note of the object this code is linked into (it changes
+ * whenever any linked code does). Without the note, the compile stamp of
+ * this file stands in.
+ */
 uint64_t
 cacheBuildId()
 {
     static const uint64_t id = [] {
+        uint64_t found = uint64_t(reinterpret_cast<uintptr_t>(&cacheBuildId));
+        if (dl_iterate_phdr(hashBuildIdNote, &found) == 0)
+            found = 0;
+        if (found != 0)
+            return found;
         const char stamp[] = __DATE__ "T" __TIME__;
         return contentHash64(stamp, sizeof stamp - 1);
     }();

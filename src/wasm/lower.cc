@@ -166,9 +166,10 @@ class FuncLowerer
      * Bitmask of register-homed stack slots (below kRegisterSlots) that
      * hold float values and stay live across an instruction consuming
      * @p consumed operands.
-     * The JIT spills/reloads exactly these xmm slot registers around
-     * anything that becomes a native call (xmm registers are caller-saved
-     * in the SysV ABI; the integer slot registers are callee-saved).
+     * Around anything that becomes a native call the JIT spills and
+     * reloads exactly these xmm slot registers (xmm registers are
+     * caller-saved in the SysV ABI); the live slots outside the mask hold
+     * integers, and it saves those whose register is caller-saved too.
      */
     uint16_t
     floatLiveMask(uint32_t consumed) const

@@ -30,10 +30,11 @@
 namespace lnb::wasm {
 
 /**
- * Operand-stack slots 0..kRegisterSlots-1 have register homes in the
- * optimizing JIT; the lowering's float-live masks cover exactly these.
+ * Operand-stack slots 0..kRegisterSlots-1 have register homes in both JIT
+ * tiers (one integer and one float register each); the lowering's
+ * float-live masks cover exactly these.
  */
-constexpr uint32_t kRegisterSlots = 3;
+constexpr uint32_t kRegisterSlots = 5;
 
 /** Pseudo-instructions appended after the wasm opcode space. */
 enum class LOp : uint16_t {

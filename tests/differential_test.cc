@@ -25,14 +25,97 @@ using wasm::ModuleBuilder;
 using wasm::Op;
 using wasm::ValType;
 
+/**
+ * The native-call targets a generated program reaches: two helper
+ * functions of each of two signatures, called directly and through a
+ * table (slots 0..3 hold a0, a1, b0, b1).
+ */
+struct Callees
+{
+    uint32_t typeA = 0; ///< (i32, f64) -> f64
+    uint32_t typeB = 0; ///< (i64, f32, i32) -> i32
+    uint32_t a[2] = {0, 0};
+    uint32_t b[2] = {0, 0};
+};
+
+/**
+ * Emits a helper body that writes every register a native call may
+ * clobber: six integer and ten float locals (more than the JIT has local
+ * homes of either class), all live at once, and an integer expression
+ * six values deep. Deterministic in its parameters: locals 0..@p
+ * num_params-1.
+ */
+void
+emitClobberingHelper(FunctionBuilder& f, const std::vector<ValType>& params,
+                     ValType result, int salt)
+{
+    std::vector<uint32_t> ints, floats;
+    for (int i = 0; i < 6; i++)
+        ints.push_back(f.addLocal(ValType::i64));
+    for (int i = 0; i < 10; i++)
+        floats.push_back(f.addLocal(ValType::f64));
+    // Fold the parameters into one i64 seed and one f64 seed.
+    uint32_t seed = ints[0], fseed = floats[0];
+    f.i64Const(salt);
+    f.localSet(seed);
+    f.f64Const(0.25 * salt);
+    f.localSet(fseed);
+    for (uint32_t p = 0; p < params.size(); p++) {
+        f.localGet(p);
+        switch (params[p]) {
+          case ValType::i32: f.emit(Op::i64_extend_i32_s); break;
+          case ValType::i64: break;
+          case ValType::f32:
+            f.emit(Op::f64_promote_f32);
+            f.emit(Op::i64_trunc_sat_f64_s);
+            break;
+          default: f.emit(Op::i64_trunc_sat_f64_s); break;
+        }
+        f.localGet(seed);
+        f.emit(Op::i64_xor);
+        f.localSet(seed);
+    }
+    f.localGet(seed);
+    f.emit(Op::f64_convert_i64_s);
+    f.localGet(fseed);
+    f.emit(Op::f64_add);
+    f.localSet(fseed);
+    for (size_t i = 1; i < ints.size(); i++) {
+        f.localGet(ints[i - 1]);
+        f.i64Const(int64_t(0x9E3779B97F4A7C15ull) + int64_t(i));
+        f.emit(Op::i64_mul);
+        f.localSet(ints[i]);
+    }
+    for (size_t i = 1; i < floats.size(); i++) {
+        f.localGet(floats[i - 1]);
+        f.f64Const(1.0 + 0.125 * double(i));
+        f.emit(Op::f64_mul);
+        f.localSet(floats[i]);
+    }
+    // Six integers deep, then every float: the stack-slot homes too.
+    for (uint32_t local : ints)
+        f.localGet(local);
+    for (size_t i = 1; i < ints.size(); i++)
+        f.emit(i % 2 ? Op::i64_add : Op::i64_xor);
+    f.emit(Op::f64_convert_i64_s);
+    for (uint32_t local : floats)
+        f.localGet(local);
+    for (size_t i = 0; i < floats.size(); i++)
+        f.emit(Op::f64_add);
+    if (result == ValType::i32)
+        f.emit(Op::i32_trunc_sat_f64_s);
+}
+
 /** Generates a random valid function body over typed locals. */
 class ProgramGenerator
 {
   public:
-    ProgramGenerator(FunctionBuilder& f, Rng& rng) : f_(f), rng_(rng)
+    ProgramGenerator(FunctionBuilder& f, Rng& rng, const Callees& callees)
+        : f_(f), rng_(rng), callees_(callees)
     {
-        // A handful of locals of each type, pre-seeded from constants.
-        for (int i = 0; i < 3; i++) {
+        // Five locals of each type (more than the JIT has local homes of
+        // either class), pre-seeded from constants.
+        for (int i = 0; i < 5; i++) {
             i32Locals_.push_back(f.addLocal(ValType::i32));
             i64Locals_.push_back(f.addLocal(ValType::i64));
             f64Locals_.push_back(f.addLocal(ValType::f64));
@@ -117,6 +200,118 @@ class ProgramGenerator
         if (scratchF64_ == UINT32_MAX)
             scratchF64_ = f_.addLocal(ValType::f64);
         return scratchF64_;
+    }
+
+    uint32_t
+    scratchI64()
+    {
+        if (scratchI64_ == UINT32_MAX)
+            scratchI64_ = f_.addLocal(ValType::i64);
+        return scratchI64_;
+    }
+
+    /** Convert the top of stack, of type @p t, to an i64 (floats through
+     * their canonicalized bit pattern). */
+    void
+    toI64(ValType t)
+    {
+        switch (t) {
+          case ValType::i32: f_.emit(Op::i64_extend_i32_u); break;
+          case ValType::i64: break;
+          case ValType::f32:
+            f_.emit(Op::f64_promote_f32);
+            canonicalizeF64();
+            f_.emit(Op::i64_reinterpret_f64);
+            break;
+          default:
+            canonicalizeF64();
+            f_.emit(Op::i64_reinterpret_f64);
+            break;
+        }
+    }
+
+    void
+    emitValue(ValType t, int depth)
+    {
+        switch (t) {
+          case ValType::i32: emitI32(depth); break;
+          case ValType::i64: emitI64(depth); break;
+          case ValType::f32: emitF32(depth); break;
+          default: emitF64(depth); break;
+        }
+    }
+
+    /**
+     * An i64 built around one native call: three to seven values of
+     * random classes stay live on the operand stack (in integer and
+     * float slot homes, and past the fifth slot in frame cells) while a
+     * helper call, an indirect call, memory.grow, memory.copy or
+     * memory.fill runs on top of them; then everything folds into one
+     * i64.
+     */
+    void
+    emitAroundNativeCall(int depth)
+    {
+        static constexpr ValType kTypes[] = {ValType::i32, ValType::i64,
+                                             ValType::f32, ValType::f64};
+        std::vector<ValType> live;
+        int n = 3 + int(rng_.nextBelow(5));
+        for (int i = 0; i < n; i++) {
+            live.push_back(kTypes[rng_.nextBelow(4)]);
+            emitValue(live.back(), depth - 1);
+        }
+        switch (rng_.nextBelow(7)) {
+          case 0: // direct call, (i32, f64) -> f64
+          case 1: // indirect call through table slot 0 or 1
+            emitI32(0);
+            emitF64(0);
+            if (rng_.chance(0.5)) {
+                f_.call(callees_.a[rng_.nextBelow(2)]);
+            } else {
+                f_.i32Const(int32_t(rng_.nextBelow(2)));
+                f_.callIndirect(callees_.typeA);
+            }
+            live.push_back(ValType::f64);
+            break;
+          case 2: // direct call, (i64, f32, i32) -> i32
+          case 3: // indirect call through table slot 2 or 3
+            emitI64(0);
+            emitF32(0);
+            emitI32(0);
+            if (rng_.chance(0.5)) {
+                f_.call(callees_.b[rng_.nextBelow(2)]);
+            } else {
+                f_.i32Const(2 + int32_t(rng_.nextBelow(2)));
+                f_.callIndirect(callees_.typeB);
+            }
+            live.push_back(ValType::i32);
+            break;
+          case 4: // grow by 0 or 1 page (fails once at the 2-page max)
+            f_.i32Const(int32_t(rng_.nextBelow(2)));
+            f_.memoryGrow();
+            live.push_back(ValType::i32);
+            break;
+          case 5: // copy within the first page
+            f_.i32Const(int32_t(rng_.nextBelow(60000)));
+            f_.i32Const(int32_t(rng_.nextBelow(60000)));
+            f_.i32Const(int32_t(rng_.nextBelow(1024)));
+            f_.memoryCopy();
+            break;
+          default: // fill within the first page
+            f_.i32Const(int32_t(rng_.nextBelow(60000)));
+            emitI32(0);
+            f_.i32Const(int32_t(rng_.nextBelow(1024)));
+            f_.memoryFill();
+            break;
+        }
+        // Fold from the top: acc = i64(top); acc = i64(next) ^ acc ...
+        toI64(live.back());
+        for (size_t i = live.size() - 1; i-- > 0;) {
+            f_.localSet(scratchI64());
+            toI64(live[i]);
+            f_.localGet(scratchI64());
+            f_.emit(i % 2 ? Op::i64_xor : Op::i64_add);
+        }
     }
 
     double
@@ -309,11 +504,14 @@ class ProgramGenerator
                 f_.localGet(pick(i64Locals_));
             return;
         }
-        switch (rng_.nextBelow(6)) {
+        switch (rng_.nextBelow(7)) {
           case 0:
             emitI64(depth - 1);
             emitI64(depth - 1);
             f_.emit(kI64BinOps[rng_.nextBelow(kNumI64BinOps)]);
+            break;
+          case 6:
+            emitAroundNativeCall(depth);
             break;
           case 1:
             emitI64(depth - 1);
@@ -458,8 +656,10 @@ class ProgramGenerator
 
     FunctionBuilder& f_;
     Rng& rng_;
+    const Callees& callees_;
     std::vector<uint32_t> i32Locals_, i64Locals_, f64Locals_, f32Locals_;
     uint32_t scratchF64_ = UINT32_MAX;
+    uint32_t scratchI64_ = UINT32_MAX;
 };
 
 wasm::Module
@@ -468,9 +668,25 @@ generateProgram(uint64_t seed)
     Rng rng(seed);
     ModuleBuilder mb;
     mb.addMemory(1, 2);
+    Callees callees;
+    const std::vector<ValType> params_a = {ValType::i32, ValType::f64};
+    const std::vector<ValType> params_b = {ValType::i64, ValType::f32,
+                                           ValType::i32};
+    callees.typeA = mb.addType(params_a, {ValType::f64});
+    callees.typeB = mb.addType(params_b, {ValType::i32});
+    for (int i = 0; i < 2; i++) {
+        auto& a = mb.addFunction(callees.typeA);
+        emitClobberingHelper(a, params_a, ValType::f64, 1 + i);
+        callees.a[i] = a.finish();
+        auto& b = mb.addFunction(callees.typeB);
+        emitClobberingHelper(b, params_b, ValType::i32, 3 + i);
+        callees.b[i] = b.finish();
+    }
+    mb.addTable(4, 4);
+    mb.addElem(0, {callees.a[0], callees.a[1], callees.b[0], callees.b[1]});
     uint32_t type = mb.addType({}, {ValType::i64});
     auto& f = mb.addFunction(type);
-    ProgramGenerator gen(f, rng);
+    ProgramGenerator gen(f, rng, callees);
     gen.emitBody();
     uint32_t idx = f.finish();
     mb.exportFunc("run", idx);

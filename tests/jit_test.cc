@@ -154,6 +154,62 @@ TEST(Assembler, SseEncodings)
               (std::vector<uint8_t>{0x66, 0x48, 0x0F, 0x7E, 0xC0}));
 }
 
+TEST(Assembler, HomeRegisterEncodings)
+{
+    // The forms register homes reach beyond the classic slot registers:
+    // xmm2..xmm15 as slot and local homes, rsi/rdi/r11 as local homes,
+    // and the memory-base add straight from the context. Displacements
+    // and immediates use the disp32 / imm32 forms (GNU as would pick the
+    // shorter disp8 / imm8 ones for these values).
+    using Bytes = std::vector<uint8_t>;
+    // movaps xmm2, xmm7 -> 0F 28 D7; movaps xmm15, xmm2 -> 44 0F 28 FA
+    EXPECT_EQ(assemble([](Assembler& a) { a.movapsRR(xmm2, xmm7); }),
+              (Bytes{0x0F, 0x28, 0xD7}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.movapsRR(xmm15, xmm2); }),
+              (Bytes{0x44, 0x0F, 0x28, 0xFA}));
+    // movsd xmm7, [r15+8] / movsd [r15+16], xmm15
+    EXPECT_EQ(assemble([](Assembler& a) { a.movsdRM(xmm7, {r15, 8}); }),
+              (Bytes{0xF2, 0x41, 0x0F, 0x10, 0xBF, 0x08, 0x00, 0x00,
+                     0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.movsdMR({r15, 16}, xmm15); }),
+              (Bytes{0xF2, 0x45, 0x0F, 0x11, 0xBF, 0x10, 0x00, 0x00,
+                     0x00}));
+    // addsd xmm2, xmm15 -> F2 41 0F 58 D7; addsd xmm15, xmm7 -> F2 44 ..
+    EXPECT_EQ(assemble([](Assembler& a) { a.addsd(xmm2, xmm15); }),
+              (Bytes{0xF2, 0x41, 0x0F, 0x58, 0xD7}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.addsd(xmm15, xmm7); }),
+              (Bytes{0xF2, 0x44, 0x0F, 0x58, 0xFF}));
+
+    // mov rsi, rdi -> 48 89 FE; mov r11d, esi -> 41 89 F3
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRR64(rsi, rdi); }),
+              (Bytes{0x48, 0x89, 0xFE}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.movRR32(r11, rsi); }),
+              (Bytes{0x41, 0x89, 0xF3}));
+    // add rdi, r11 -> 4C 01 DF; add esi, 5 -> 81 C6 imm32
+    EXPECT_EQ(assemble([](Assembler& a) { a.addRR64(rdi, r11); }),
+              (Bytes{0x4C, 0x01, 0xDF}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.addRI32(rsi, 5); }),
+              (Bytes{0x81, 0xC6, 0x05, 0x00, 0x00, 0x00}));
+    // imul rsi, r11 -> 49 0F AF F3; imul edi, r11d, 7 -> 41 69 FB imm32
+    EXPECT_EQ(assemble([](Assembler& a) { a.imulRR64(rsi, r11); }),
+              (Bytes{0x49, 0x0F, 0xAF, 0xF3}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.imulRRI32(rdi, r11, 7); }),
+              (Bytes{0x41, 0x69, 0xFB, 0x07, 0x00, 0x00, 0x00}));
+    // cmp r11, rsi -> 49 39 F3; cmp edi, [r15+24] -> 41 3B BF disp32
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpRR64(r11, rsi); }),
+              (Bytes{0x49, 0x39, 0xF3}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.cmpRM32(rdi, {r15, 24}); }),
+              (Bytes{0x41, 0x3B, 0xBF, 0x18, 0x00, 0x00, 0x00}));
+
+    // add r64, [rbp+disp32]: the one-instruction memory-base add.
+    EXPECT_EQ(assemble([](Assembler& a) { a.aluRM64(0x00, rax,
+                                                    {rbp, 0x40}); }),
+              (Bytes{0x48, 0x03, 0x85, 0x40, 0x00, 0x00, 0x00}));
+    EXPECT_EQ(assemble([](Assembler& a) { a.aluRM64(0x00, r11,
+                                                    {rbp, 0x40}); }),
+              (Bytes{0x4C, 0x03, 0x9D, 0x40, 0x00, 0x00, 0x00}));
+}
+
 TEST(Assembler, LabelsAndBranches)
 {
     // Backward jump: label at 0, jmp at 0 -> rel32 = -5.

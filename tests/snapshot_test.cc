@@ -605,19 +605,28 @@ TEST_F(PersistCacheTest, CorruptTruncatedAndStaleFilesAreRejected)
         },
         "stale build id");
 
-    // Previous format version (an artifact written before the lowered-IR
-    // layout changed).
-    mutate_and_expect_reject(
-        [&] {
-            FILE* f = fopen(path.c_str(), "r+b");
-            ASSERT_NE(f, nullptr);
-            // formatVersion occupies header bytes [4, 8).
-            ASSERT_EQ(fseek(f, 4, SEEK_SET), 0);
-            uint32_t previous = 1;
-            fwrite(&previous, sizeof previous, 1, f);
-            fclose(f);
-        },
-        "previous format version");
+    // Another format version: 2 is the layout before the float-live
+    // masks covered five register slots, 4 a newer one.
+    for (uint32_t version : {2u, 4u}) {
+        mutate_and_expect_reject(
+            [&] {
+                FILE* f = fopen(path.c_str(), "r+b");
+                ASSERT_NE(f, nullptr);
+                // formatVersion occupies header bytes [4, 8).
+                ASSERT_EQ(fseek(f, 4, SEEK_SET), 0);
+                fwrite(&version, sizeof version, 1, f);
+                fclose(f);
+            },
+            "other format version");
+    }
+}
+
+TEST(PersistCacheBuildId, StableAndNonZero)
+{
+    // Taken from the binary's GNU build-id note (or the compile stamp
+    // when the linker wrote none): the same for every call.
+    EXPECT_NE(svc::moduleCacheBuildId(), 0u);
+    EXPECT_EQ(svc::moduleCacheBuildId(), svc::moduleCacheBuildId());
 }
 
 TEST_F(PersistCacheTest, DifferentConfigUsesDifferentFile)
